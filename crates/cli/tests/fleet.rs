@@ -241,18 +241,27 @@ fn idle_worker_exits_cancelled() {
 
     let pending = store.join("fleet").join("pending");
     let leased = store.join("fleet").join("leased");
-    wait_until("all units to be published", Duration::from_secs(30), || {
+    // Published tokens only: the coordinator writes each one to a
+    // dot-prefixed temp file first and renames it into place.
+    let units = || -> Vec<String> {
         std::fs::read_dir(&pending)
-            .map(|rd| rd.count())
-            .unwrap_or(0)
-            == 3
+            .map(|rd| {
+                rd.filter_map(|e| e.ok()?.file_name().into_string().ok())
+                    .filter(|n| n.starts_with("unit-") && n.ends_with(".ced"))
+                    .collect()
+            })
+            .unwrap_or_default()
+    };
+    wait_until("all units to be published", Duration::from_secs(30), || {
+        units().len() == 3
     });
-    for entry in std::fs::read_dir(&pending).expect("pending dir") {
-        let entry = entry.expect("entry");
-        let name = entry.file_name().into_string().expect("unit name");
+    for name in units() {
         let unit = name.strip_suffix(".ced").expect("unit file");
-        std::fs::rename(entry.path(), leased.join(format!("{unit}.hog.lease")))
-            .expect("steal the lease");
+        std::fs::rename(
+            pending.join(&name),
+            leased.join(format!("{unit}.hog.lease")),
+        )
+        .expect("steal the lease");
     }
 
     let out = ced()

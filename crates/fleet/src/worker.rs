@@ -217,8 +217,16 @@ pub fn run_worker(
         pending.sort_unstable();
         let mut claimed = None;
         for index in pending {
+            let token = dir.pending_unit(index);
             let lease = dir.lease_unit(index, &wopts.worker_id);
-            if claim_by_rename(&dir.pending_unit(index), &lease)? {
+            // The rename keeps the token's publish-time mtime, so a unit
+            // that waited in pending/ longer than the heartbeat timeout
+            // would look dead to the coordinator before our first
+            // heartbeat. Start the lease's clock at the claim instead.
+            if !touch(&token)? {
+                continue;
+            }
+            if claim_by_rename(&token, &lease)? {
                 claimed = Some((index, lease));
                 break;
             }

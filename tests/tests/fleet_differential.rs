@@ -214,6 +214,59 @@ fn dead_workers_lease_expires_and_report_stays_identical() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A unit that waited in `pending/` longer than the heartbeat timeout
+/// is not a dead worker's: a live worker claiming it must keep it, so
+/// the campaign drains without a single re-assignment.
+#[test]
+fn long_pending_units_are_not_expired_on_claim() {
+    let dir = tmp_dir("longpending");
+    let fleet = FleetDir::new(&dir);
+    let copts = fast_coordinator();
+
+    let outcome = std::thread::scope(|scope| {
+        let coordinator = scope.spawn({
+            let dir = dir.clone();
+            let copts = copts.clone();
+            move || {
+                run_coordinator(&dir, &corpus(), &options(), &copts, &CancelToken::new()).unwrap()
+            }
+        });
+        for unit in 0..corpus().len() {
+            wait_for(&fleet.pending_unit(unit));
+            backdate(&fleet.pending_unit(unit));
+        }
+        let worker = scope.spawn({
+            let dir = dir.clone();
+            move || {
+                run_worker(
+                    &dir,
+                    &options(),
+                    &fast_worker("w0"),
+                    &CellLibrary::new(),
+                    &CancelToken::new(),
+                    None,
+                )
+                .unwrap()
+            }
+        });
+        let outcome = coordinator.join().unwrap();
+        assert_eq!(
+            worker.join().unwrap(),
+            WorkerOutcome::Drained {
+                processed: corpus().len()
+            }
+        );
+        outcome
+    });
+
+    assert_eq!(
+        outcome.reassigned, 0,
+        "a live worker's leases must not expire"
+    );
+    assert_eq!(outcome.poisoned_units, 0);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn poisonous_unit_is_quarantined_after_max_attempts() {
     let dir = tmp_dir("poison");
