@@ -1,20 +1,17 @@
 //! Analytic-core harness: measures the search phase (LP + randomized
-//! rounding + verification — the part the bit-packed sparse engine
-//! accelerates) on the scaled paper machines and one large generated
-//! machine (the `ced gen` scaling workload), under both engines. Every
-//! dense `SearchOutcome` is asserted equal to its sparse twin before
-//! any number is reported — the harness doubles as a differential test
-//! at benchmark scale. Emits one `ced-core-bench/1` JSON line; the
-//! committed `BENCH_core.json` is the full run. The interesting number
-//! is `speedup` on the generated machine, where packed 64-wide cover
-//! checks and the case kernel dominate.
+//! rounding + verification on the bit-packed tables) on the scaled
+//! paper machines and one large generated machine (the `ced gen`
+//! scaling workload). Every repeat's `SearchOutcome` is asserted equal
+//! to the first before any number is reported. Emits one
+//! `ced-core-bench/2` JSON line with the tensor build and best-of-N
+//! search wall time per machine.
 //!
 //! Usage: `cargo bench --bench core [-- --quick]` (`--quick` shrinks
 //! the generated machine and the repeat count, not the matrix).
 
 use ced_bench::{git_rev, trajectory_row};
 use ced_core::pipeline::{synthesize_circuit, PipelineOptions};
-use ced_core::search::{minimize_parity_functions, CedOptions, SearchOutcome, SolverEngine};
+use ced_core::search::{minimize_parity_functions, CedOptions, SearchOutcome};
 use ced_fsm::generator::{generate, scaled_workload};
 use ced_fsm::machine::Fsm;
 use ced_runtime::Json;
@@ -36,24 +33,20 @@ fn corpus(quick: bool) -> Vec<(String, Fsm)> {
     machines
 }
 
-/// Best-of-`repeats` wall-clock of one engine's search, plus the
-/// outcome of the last run (identical across runs — the search is a
-/// pure function of table, options and seed).
-fn time_search(
-    table: &DetectabilityTable,
-    engine: SolverEngine,
-    repeats: usize,
-) -> (SearchOutcome, f64) {
-    let options = CedOptions {
-        engine,
-        ..CedOptions::default()
-    };
+/// Best-of-`repeats` wall-clock of the search, plus its outcome
+/// (asserted identical across runs — the search is a pure function of
+/// table, options and seed).
+fn time_search(table: &DetectabilityTable, repeats: usize) -> (SearchOutcome, f64) {
+    let options = CedOptions::default();
     let mut best = f64::INFINITY;
-    let mut outcome = None;
+    let mut outcome: Option<SearchOutcome> = None;
     for _ in 0..repeats {
         let start = Instant::now();
         let result = minimize_parity_functions(table, &options);
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        if let Some(first) = &outcome {
+            assert_eq!(first, &result, "the search must be deterministic");
+        }
         outcome = Some(result);
     }
     (outcome.expect("at least one repeat"), best)
@@ -65,8 +58,7 @@ struct Row {
     faults: usize,
     cases: usize,
     tensor_ms: f64,
-    sparse_ms: f64,
-    dense_ms: f64,
+    search_ms: f64,
     q: usize,
 }
 
@@ -93,19 +85,13 @@ fn main() {
         .expect("tensor fits");
         let tensor_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let (sparse, sparse_ms) = time_search(&table, SolverEngine::Sparse, repeats);
-        let (dense, dense_ms) = time_search(&table, SolverEngine::Dense, repeats);
-        assert_eq!(
-            sparse, dense,
-            "{name}: engines must agree on the full search outcome"
-        );
+        let (outcome, search_ms) = time_search(&table, repeats);
         eprintln!(
             "  {:<8} {:>4} states {:>6} cases: tensor {tensor_ms:8.1} ms, \
-             sparse {sparse_ms:8.1} ms, dense {dense_ms:8.1} ms ({:.1}x)",
+             search {search_ms:8.1} ms",
             name,
             n_states,
             table.len(),
-            dense_ms / sparse_ms.max(1e-9)
         );
         rows.push(Row {
             machine: name,
@@ -113,14 +99,13 @@ fn main() {
             faults: faults.len(),
             cases: table.len(),
             tensor_ms,
-            sparse_ms,
-            dense_ms,
-            q: sparse.cover.masks.len(),
+            search_ms,
+            q: outcome.cover.masks.len(),
         });
     }
 
     let doc = Json::Object(vec![
-        ("schema".into(), Json::str("ced-core-bench/1")),
+        ("schema".into(), Json::str("ced-core-bench/2")),
         ("quick".into(), Json::Bool(quick)),
         ("rev".into(), Json::str(&rev)),
         ("latency".into(), Json::UInt(LATENCY as u64)),
@@ -136,12 +121,7 @@ fn main() {
                             ("cases".into(), Json::UInt(r.cases as u64)),
                             ("q".into(), Json::UInt(r.q as u64)),
                             ("tensor_ms".into(), Json::Float(r.tensor_ms)),
-                            ("sparse_ms".into(), Json::Float(r.sparse_ms)),
-                            ("dense_ms".into(), Json::Float(r.dense_ms)),
-                            (
-                                "speedup".into(),
-                                Json::Float(r.dense_ms / r.sparse_ms.max(1e-9)),
-                            ),
+                            ("search_ms".into(), Json::Float(r.search_ms)),
                         ])
                     })
                     .collect(),
@@ -151,23 +131,10 @@ fn main() {
             "trajectory".into(),
             Json::Array(
                 rows.iter()
-                    .map(|r| trajectory_row(&rev, &r.machine, r.n_states, r.sparse_ms))
+                    .map(|r| trajectory_row(&rev, &r.machine, r.n_states, r.search_ms))
                     .collect(),
             ),
         ),
-        ("identical".into(), Json::Bool(true)),
     ]);
     println!("{}", doc.render());
-
-    let last = rows.last().expect("non-empty corpus");
-    eprintln!(
-        "analytic core on {} ({} states, {} cases): sparse {:.1} ms vs dense {:.1} ms \
-         — {:.1}x, outcomes identical",
-        last.machine,
-        last.n_states,
-        last.cases,
-        last.sparse_ms,
-        last.dense_ms,
-        last.dense_ms / last.sparse_ms.max(1e-9)
-    );
 }

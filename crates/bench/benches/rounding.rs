@@ -6,6 +6,7 @@ use ced_core::ip::ParityCover;
 use ced_core::round::{round_cover, RoundingOptions};
 use ced_lp::rounding::round_to_mask;
 use ced_sim::detect::{DetectabilityTable, EcRow};
+use ced_sim::packed::SparseTables;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,12 +44,12 @@ fn bench_rounding(c: &mut Criterion) {
         });
     }
 
-    let table = synth_table(16, 1000);
+    let tables = SparseTables::build(&synth_table(16, 1000));
     let beta = vec![vec![0.4; 16]];
     group.bench_function("round_cover_m1000", |b| {
         b.iter(|| {
             let r = round_cover(
-                &table,
+                &tables,
                 6,
                 &beta,
                 &RoundingOptions {

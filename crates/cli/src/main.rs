@@ -133,14 +133,6 @@ common options:
                                              omitting the flag in every report,
                                              checkpoint and store key
   --seed N                                   rounding seed (default 0)
-  --dense                                    run the dense analytic engine
-                                             (row-major tensor + dense
-                                             simplex tableau) instead of the
-                                             default bit-packed sparse
-                                             engine; results are
-                                             byte-identical either way —
-                                             this is the escape hatch and
-                                             differential-test anchor
   --format blif|verilog                      export format (default blif)
   --jobs N                                   worker threads for table, suite,
                                              certify and inject (default:

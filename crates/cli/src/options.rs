@@ -1,7 +1,6 @@
 //! Shared CLI option parsing.
 
 use ced_core::pipeline::{InputGranularity, PipelineOptions};
-use ced_core::SolverEngine;
 use ced_fsm::encoding::EncodingStrategy;
 use ced_fsm::machine::Fsm;
 use ced_sim::detect::Semantics;
@@ -138,9 +137,6 @@ pub fn parse(args: &[String]) -> Result<Parsed, Box<dyn std::error::Error>> {
             }
             "--isolate-cones" => {
                 options.isolate_output_logic = true;
-            }
-            "--dense" => {
-                options.ced.engine = SolverEngine::Dense;
             }
             "--format" => {
                 format = it.next().ok_or("--format needs a value")?.clone();
@@ -350,9 +346,6 @@ pub fn parse_suite(args: &[String]) -> Result<SuiteArgs, Box<dyn std::error::Err
             }
             "--no-retry" => {
                 options.retry_degraded = false;
-            }
-            "--dense" => {
-                options.pipeline.ced.engine = SolverEngine::Dense;
             }
             "--fault-model" => {
                 let v = it.next().ok_or("--fault-model needs a value")?;

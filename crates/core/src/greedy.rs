@@ -39,18 +39,15 @@ impl Default for GreedyOptions {
 /// back to a singleton on a detecting bit of the first uncovered row,
 /// which always covers at least that row.
 pub fn greedy_cover(table: &DetectabilityTable, options: &GreedyOptions) -> ParityCover {
-    greedy_cover_with(table, None, options)
+    greedy_cover_with(table, &PackedTable::from_table(table), options)
 }
 
-/// [`greedy_cover`] with an optional bit-packed view of `table`.
-///
-/// When `packed` is given (built from this exact table), the hill
-/// climber's scoring query counts covered rows 64 at a time; the counts
-/// are exactly equal to the filtered iteration, so mask choices and the
-/// resulting cover are unchanged.
+/// [`greedy_cover`] on an already-packed view of `table` (built from
+/// this exact table): the hill climber's scoring query counts covered
+/// rows 64 at a time.
 pub fn greedy_cover_with(
     table: &DetectabilityTable,
-    packed: Option<&PackedTable>,
+    packed: &PackedTable,
     options: &GreedyOptions,
 ) -> ParityCover {
     let n = table.num_bits();
@@ -59,8 +56,8 @@ pub fn greedy_cover_with(
     let mut rng_state = options.seed ^ 0xD1B5_4A32_D192_ED03;
 
     while !uncovered.is_empty() {
-        let best = best_mask(table, packed, &uncovered, n, options, &mut rng_state);
-        let mask = if covered_count(table, packed, &uncovered, best) == 0 {
+        let best = best_mask(packed, &uncovered, n, options, &mut rng_state);
+        let mask = if packed.covered_count(best, &uncovered) == 0 {
             // Fallback: singleton on the first detecting bit of the first
             // uncovered row's activation step.
             let first = uncovered.first_set().expect("nonempty uncovered set");
@@ -91,25 +88,9 @@ pub fn greedy_cover_with(
     ParityCover::new(masks)
 }
 
-fn covered_count(
-    table: &DetectabilityTable,
-    packed: Option<&PackedTable>,
-    uncovered: &RowSet,
-    mask: u64,
-) -> usize {
-    match packed {
-        Some(p) => p.covered_count(mask, uncovered),
-        None => uncovered
-            .iter()
-            .filter(|&i| table.rows()[i].detected_by(mask))
-            .count(),
-    }
-}
-
 /// Hill-climbs masks by single-bit flips, over several restarts.
 fn best_mask(
-    table: &DetectabilityTable,
-    packed: Option<&PackedTable>,
+    packed: &PackedTable,
     uncovered: &RowSet,
     n: usize,
     options: &GreedyOptions,
@@ -127,12 +108,12 @@ fn best_mask(
                 .wrapping_add(1442695040888963407);
             (*rng_state >> (64 - n as u32)) & ((1u64 << n) - 1)
         };
-        let mut score = covered_count(table, packed, uncovered, mask);
+        let mut score = packed.covered_count(mask, uncovered);
         loop {
             let mut improved = false;
             for b in 0..n {
                 let candidate = mask ^ (1u64 << b);
-                let s = covered_count(table, packed, uncovered, candidate);
+                let s = packed.covered_count(candidate, uncovered);
                 if s > score {
                     mask = candidate;
                     score = s;
@@ -203,29 +184,6 @@ mod tests {
         let a = greedy_cover(&t, &GreedyOptions::default());
         let b = greedy_cover(&t, &GreedyOptions::default());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn packed_path_reproduces_dense_greedy_exactly() {
-        let rows: Vec<Vec<u64>> = (0..80u64)
-            .map(|i| {
-                let x = i
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                vec![(x >> 17) & 0x3F | 1 << (i % 6), (x >> 40) & 0x3F]
-            })
-            .collect();
-        let t = table(6, rows);
-        let packed = PackedTable::from_table(&t);
-        for seed in 0..8u64 {
-            let opts = GreedyOptions {
-                seed,
-                ..GreedyOptions::default()
-            };
-            let dense = greedy_cover(&t, &opts);
-            let fast = greedy_cover_with(&t, Some(&packed), &opts);
-            assert_eq!(dense, fast, "seed {seed}");
-        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use relax::{
 pub use report::report_to_json;
 pub use search::{
     minimize_interruptible, minimize_parity_functions, minimize_with_incumbent, CedOptions,
-    DegradationEvent, DegradationReason, LadderRung, SearchOutcome, SolverEngine,
+    DegradationEvent, DegradationReason, LadderRung, SearchOutcome,
 };
 pub use suite::{
     corpus_units, poisoned_record, run_suite, run_suite_unit, suite_fingerprint, CorpusUnit,

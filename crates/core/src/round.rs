@@ -8,7 +8,6 @@
 
 use crate::ip::ParityCover;
 use ced_lp::rounding::round_to_mask;
-use ced_sim::detect::DetectabilityTable;
 use ced_sim::packed::SparseTables;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,41 +47,27 @@ pub struct RoundingFailure {
     pub best_uncovered: Vec<usize>,
 }
 
-/// Draws `q` masks from the fractional blocks and verifies them.
+/// Draws `q` masks from the fractional blocks and verifies them
+/// against the packed tables of the detectability table.
 ///
 /// With one block (symmetric LP), all `q` masks are sampled i.i.d. from
-/// it; with `q` blocks (full Statement 5), one mask per block.
+/// it; with `q` blocks (full Statement 5), one mask per block. The
+/// per-attempt success check runs on the packed case kernel; the final
+/// failure enumeration runs on the packed full table.
 ///
 /// # Panics
 ///
 /// Panics if `betas` is empty or any block's length differs from the
 /// table's bit count.
 pub fn round_cover(
-    table: &DetectabilityTable,
-    q: usize,
-    betas: &[Vec<f64>],
-    options: &RoundingOptions,
-) -> Result<Rounded, RoundingFailure> {
-    round_cover_with(table, None, q, betas, options)
-}
-
-/// [`round_cover`] with an optional bit-packed view of `table`.
-///
-/// When `sparse` is given (it must be built from this exact table), the
-/// per-attempt success check runs on the packed case kernel and the
-/// final failure enumeration on the packed full table — both exactly
-/// equal to the row-major queries, so attempt counts, the RNG stream
-/// and the reported uncovered rows are unchanged.
-pub fn round_cover_with(
-    table: &DetectabilityTable,
-    sparse: Option<&SparseTables>,
+    tables: &SparseTables,
     q: usize,
     betas: &[Vec<f64>],
     options: &RoundingOptions,
 ) -> Result<Rounded, RoundingFailure> {
     assert!(!betas.is_empty(), "no fractional blocks");
     for b in betas {
-        assert_eq!(b.len(), table.num_bits(), "block arity mismatch");
+        assert_eq!(b.len(), tables.full().num_bits(), "block arity mismatch");
     }
     let mut rng = StdRng::seed_from_u64(options.seed);
     let mut last_masks: Vec<u64> = Vec::new();
@@ -111,11 +96,7 @@ pub fn round_cover_with(
         let cover = ParityCover::new(masks);
         // Early-exit check keeps failed attempts cheap; the full
         // uncovered list is only materialized once, on final failure.
-        let covered = match sparse {
-            Some(s) => s.all_covered(&cover.masks),
-            None => table.first_uncovered(&cover.masks).is_none(),
-        };
-        if covered {
+        if tables.all_covered(&cover.masks) {
             return Ok(Rounded {
                 cover,
                 attempts: attempt,
@@ -126,30 +107,27 @@ pub fn round_cover_with(
     Err(RoundingFailure {
         // Row generation feeds these into the LP, so they must come
         // from the full table, never the kernel.
-        best_uncovered: match sparse {
-            Some(s) => s.full().uncovered_rows(&last_masks),
-            None => table.uncovered_rows(&last_masks),
-        },
+        best_uncovered: tables.full().uncovered_rows(&last_masks),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ced_sim::detect::EcRow;
+    use ced_sim::detect::{DetectabilityTable, EcRow};
 
-    fn table(rows: Vec<Vec<u64>>) -> DetectabilityTable {
+    fn tables(rows: Vec<Vec<u64>>) -> SparseTables {
         let p = rows[0].len();
-        DetectabilityTable::from_rows(
+        SparseTables::build(&DetectabilityTable::from_rows(
             4,
             p,
             rows.into_iter().map(|steps| EcRow { steps }).collect(),
-        )
+        ))
     }
 
     #[test]
     fn integral_beta_rounds_deterministically() {
-        let t = table(vec![vec![0b0001], vec![0b0010]]);
+        let t = tables(vec![vec![0b0001], vec![0b0010]]);
         let beta = vec![vec![1.0, 1.0, 0.0, 0.0]];
         let r = round_cover(&t, 1, &beta, &RoundingOptions::default()).unwrap();
         // Mask 0b0011 covers row 0 (bit0 odd) and row 1 (bit1 odd).
@@ -159,7 +137,7 @@ mod tests {
 
     #[test]
     fn fractional_beta_succeeds_with_retries() {
-        let t = table(vec![vec![0b0001], vec![0b0010], vec![0b0100]]);
+        let t = tables(vec![vec![0b0001], vec![0b0010], vec![0b0100]]);
         let beta = vec![vec![0.6, 0.6, 0.6, 0.0]];
         let r = round_cover(
             &t,
@@ -177,7 +155,7 @@ mod tests {
     #[test]
     fn impossible_rounding_reports_best_failure() {
         // Row detectable only by bit 3, but β gives it probability 0.
-        let t = table(vec![vec![0b1000], vec![0b0001]]);
+        let t = tables(vec![vec![0b1000], vec![0b0001]]);
         let beta = vec![vec![1.0, 0.0, 0.0, 0.0]];
         let err = round_cover(
             &t,
@@ -194,42 +172,15 @@ mod tests {
 
     #[test]
     fn per_block_sampling_for_full_form() {
-        let t = table(vec![vec![0b0001], vec![0b0010]]);
+        let t = tables(vec![vec![0b0001], vec![0b0010]]);
         let betas = vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 1.0, 0.0, 0.0]];
         let r = round_cover(&t, 2, &betas, &RoundingOptions::default()).unwrap();
         assert_eq!(r.cover.masks, vec![0b0001, 0b0010]);
     }
 
     #[test]
-    fn packed_path_reproduces_dense_rounding_exactly() {
-        // Success, failure and attempt counts must be identical with
-        // and without the packed tables — including on a table whose
-        // kernel is a strict subset of the rows.
-        // Row 1's step span {0001, 0010} strictly contains row 0's
-        // {0001}, so the kernel drops it with row 0 as witness.
-        let t = table(vec![
-            vec![0b0001, 0b0000],
-            vec![0b0001, 0b0010],
-            vec![0b0010, 0b0000],
-            vec![0b1000, 0b0000],
-        ]);
-        let sparse = SparseTables::build(&t);
-        assert!(sparse.kernel().len() < t.len(), "kernel should shrink");
-        let beta = vec![vec![0.5, 0.5, 0.1, 0.4]];
-        for seed in 0..16u64 {
-            let opts = RoundingOptions {
-                iterations: 12,
-                seed,
-            };
-            let dense = round_cover(&t, 2, &beta, &opts);
-            let packed = round_cover_with(&t, Some(&sparse), 2, &beta, &opts);
-            assert_eq!(dense, packed, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn duplicate_masks_deduplicated_in_cover() {
-        let t = table(vec![vec![0b0001]]);
+        let t = tables(vec![vec![0b0001]]);
         let beta = vec![vec![1.0, 0.0, 0.0, 0.0]];
         let r = round_cover(&t, 3, &beta, &RoundingOptions::default()).unwrap();
         assert_eq!(r.cover.len(), 1, "identical samples must merge");

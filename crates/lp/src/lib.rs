@@ -1,10 +1,16 @@
 //! # ced-lp — linear programming and randomized rounding, from scratch
 //!
-//! A dense two-phase primal simplex solver with bounded variables, plus
+//! A two-phase primal simplex solver with bounded variables, plus
 //! Raghavan–Thompson randomized rounding helpers. Built for the LP
 //! relaxation (Statement 5) of *"On Concurrent Error Detection with
 //! Bounded Latency in FSMs"* (DATE 2004); no external LP dependency is
 //! available offline (DESIGN.md substitution note (c)).
+//!
+//! Two bit-compatible implementations share one algorithm:
+//! [`sparse`] is the product solver the parity search runs, and the
+//! dense tableau in [`simplex`] is the reference oracle — the solver
+//! the sparse one is differentially tested against, and the
+//! independent float solver behind the certifier's LP check.
 //!
 //! # Examples
 //!

@@ -8,10 +8,13 @@
 //!
 //! This is deliberately a from-scratch implementation: no mature LP
 //! crate is available offline, and the paper only requires "e.g. the
-//! Simplex algorithm" (see DESIGN.md substitution note (c)). Problem
-//! sizes produced by the CED pipeline — thousands of rows/columns after
-//! the symmetric-block reduction and lazy row generation — are well
-//! within dense-tableau reach.
+//! Simplex algorithm" (see DESIGN.md substitution note (c)).
+//!
+//! The parity search runs the bit-compatible sparse twin in
+//! [`crate::sparse`]. This dense tableau is the reference oracle: the
+//! sparse solver is differentially tested against it, and the
+//! certifier's LP check uses it as a solver independent of the product
+//! path.
 //!
 //! # Examples
 //!

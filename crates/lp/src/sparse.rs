@@ -1,5 +1,5 @@
-//! A sparse-pivot twin of the dense two-phase simplex in
-//! [`crate::simplex`], bit-compatible by construction.
+//! The product LP solver: a sparse-pivot twin of the dense two-phase
+//! simplex in [`crate::simplex`], bit-compatible by construction.
 //!
 //! The covering relaxations the CED pipeline builds are very sparse: a
 //! `≤` linking row holds one `t` term, the `β` terms of one block and a
@@ -54,11 +54,11 @@
 //! value. Bits are cleared only when a set is recomputed exactly (the
 //! pivot row's support after normalization).
 //!
-//! When dense still wins: tiny programs, or programs whose pivot rows
-//! fill in to near-full support, where the per-pivot gather buys
-//! nothing over the dense solver's straight-line SIMD-friendly sweep.
-//! The pipeline keeps the dense path selectable for exactly that
-//! reason (DESIGN.md §15).
+//! The search runs only this solver. The dense solver stays as the
+//! reference it is tested against and as the independent float solver
+//! behind the certifier's LP check (DESIGN.md §15). On the committed
+//! search bench the sparse path is ahead on every machine, tiny ones
+//! included, so no size threshold switches back to the dense sweep.
 
 use crate::problem::{ConstraintOp, LinearProgram, Sense};
 use crate::simplex::{LpSolution, SolveError};
@@ -202,9 +202,6 @@ impl SparseTableau {
         self.factor_dense.resize(m, 0.0);
         let bland_after = max_iterations / 2;
         let mut local_iter = 0usize;
-        let stats = std::env::var_os("CED_SPARSE_STATS").is_some();
-        let (mut tot_factors, mut tot_packed, mut n_pivots) = (0u64, 0u64, 0u64);
-        let mut tot_support = 0u64;
         loop {
             local_iter += 1;
             self.iterations += 1;
@@ -259,15 +256,6 @@ impl SparseTableau {
                 }
             }
             let Some((e, dir)) = entering else {
-                if stats && n_pivots > 0 {
-                    eprintln!(
-                        "sparse-stats: iters={local_iter} pivots={n_pivots} m={m} n={n} \
-                         avg_factors={:.1} avg_packed={:.1} avg_support={:.1}",
-                        tot_factors as f64 / local_iter as f64,
-                        tot_packed as f64 / n_pivots as f64,
-                        tot_support as f64 / n_pivots as f64,
-                    );
-                }
                 return Ok(());
             };
 
@@ -311,9 +299,6 @@ impl SparseTableau {
                         leave = Some((i, hits_upper));
                     }
                 }
-            }
-            if stats {
-                tot_factors += factors.len() as u64;
             }
 
             if t_limit.is_infinite() {
@@ -367,12 +352,6 @@ impl SparseTableau {
                     let inv = 1.0 / pivot;
                     let mut packed = std::mem::take(&mut self.pivot_scratch);
                     packed.clear();
-                    if stats {
-                        tot_support += self.row_support[r * self.words..(r + 1) * self.words]
-                            .iter()
-                            .map(|w| w.count_ones() as u64)
-                            .sum::<u64>();
-                    }
                     {
                         let cols = &mut self.cols;
                         let support = &self.row_support[r * self.words..(r + 1) * self.words];
@@ -444,10 +423,6 @@ impl SparseTableau {
                         for &(j, y) in &packed {
                             self.z[j as usize] -= zfactor * y;
                         }
-                    }
-                    if stats {
-                        tot_packed += packed.len() as u64;
-                        n_pivots += 1;
                     }
                     self.pivot_scratch = packed;
                     self.basis[r] = e;

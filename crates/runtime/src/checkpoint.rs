@@ -94,15 +94,25 @@ impl fmt::Display for CheckpointError {
 
 impl Error for CheckpointError {}
 
+/// FNV-1a 64-bit offset basis: the hash state of an empty stream.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash — the checkpoint checksum and the fingerprint
 /// hash used to match a checkpoint against its originating inputs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(FNV1A64_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64-bit hash from `state` over `bytes`, so a
+/// hash can be folded piecewise without materializing its input:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`.
+#[inline]
+pub fn fnv1a64_extend(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    hash
+    state
 }
 
 /// Wraps a payload in the checkpoint envelope (header + checksum).
@@ -387,6 +397,12 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv_extension_continues_the_stream() {
+        assert_eq!(fnv1a64_extend(FNV1A64_OFFSET, b""), fnv1a64(b""));
+        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub mod lease;
 
 pub use budget::{Budget, CancelToken, InterruptKind, Interrupted, Progress};
 pub use checkpoint::{
-    decode_checkpoint, encode_checkpoint, fnv1a64, load_checkpoint, save_checkpoint, ByteReader,
-    ByteWriter, CheckpointError,
+    decode_checkpoint, encode_checkpoint, fnv1a64, fnv1a64_extend, load_checkpoint,
+    save_checkpoint, ByteReader, ByteWriter, CheckpointError, FNV1A64_OFFSET,
 };
 pub use heartbeat::Heartbeat;
 pub use json::{Json, JsonParseError};

@@ -1,24 +1,16 @@
-//! Sparse ≡ dense engine differential battery (the tentpole's pin).
+//! Independent certification of the analytic core's covers.
 //!
-//! The bit-packed sparse engine (packed tensor columns, GF(2) case
-//! kernel, sparse-row simplex) must be indistinguishable from the
-//! original dense paths in every observable byte: `CircuitReport`
-//! fields, `ced-suite-report/1` documents, store keys (a dense rerun
-//! must *hit* artifacts a sparse run stored), degradation trails under
-//! forced ladder descent, and the independent certification chain —
-//! across fault models, job counts and warm/cold stores.
+//! The search runs on the bit-packed sparse engine (packed tensor
+//! columns, GF(2) case kernel, sparse-row simplex); its covers must
+//! certify under the BFS/rational verifier chain, which shares no code
+//! with the packed representation or the kernel reduction.
 
 use ced_core::pipeline::{run_circuit, PipelineOptions};
-use ced_core::{run_suite, CedOptions, SolverEngine, SuiteControl, SuiteOptions};
 use ced_fsm::generator::{generate, scaled_workload};
 use ced_fsm::machine::Fsm;
 use ced_fsm::suite as bench;
 use ced_logic::gate::CellLibrary;
-use ced_par::ParExec;
 use ced_runtime::Budget;
-use ced_sim::fault::FaultModel;
-use ced_store::Store;
-use std::sync::Arc;
 
 const MACHINES: [&str; 3] = ["s27", "tav", "dk512"];
 const LATENCIES: [usize; 2] = [1, 2];
@@ -31,13 +23,13 @@ fn scaled(name: &str) -> Fsm {
         .build()
 }
 
-/// The differential corpus: three scaled paper machines plus one
+/// The certification corpus: three scaled paper machines plus one
 /// generated scaling machine (the `ced gen` workload at 2×). Seed 3 is
 /// chosen so the generated machine's pipeline result also certifies
 /// under the independent verifier chain — on some seeds the greedy
 /// baseline beats the stochastic LP search and the certifier (rightly)
-/// refuses the result, a search-quality property orthogonal to the
-/// engine equivalence pinned here.
+/// refuses the result, a search-quality property this file does not
+/// pin.
 fn corpus() -> Vec<(String, Fsm)> {
     let mut machines: Vec<(String, Fsm)> = MACHINES
         .iter()
@@ -48,150 +40,6 @@ fn corpus() -> Vec<(String, Fsm)> {
     machines
 }
 
-fn engine_options(engine: SolverEngine, fault_model: FaultModel) -> SuiteOptions {
-    let mut options = SuiteOptions {
-        latencies: LATENCIES.to_vec(),
-        ..SuiteOptions::default()
-    };
-    options.pipeline.fault_model = fault_model;
-    options.pipeline.ced.engine = engine;
-    options
-}
-
-/// Replaces the `"jobs":N` header token (the only part of a suite
-/// report that records the worker count) with a fixed value.
-fn normalize_jobs(json: &str) -> String {
-    let Some(start) = json.find("\"jobs\":") else {
-        return json.to_string();
-    };
-    let digits = start + "\"jobs\":".len();
-    let end = json[digits..]
-        .find(|c: char| !c.is_ascii_digit())
-        .map_or(json.len(), |i| digits + i);
-    format!("{}\"jobs\":0{}", &json[..start], &json[end..])
-}
-
-fn suite_json(
-    machines: &[(String, Fsm)],
-    options: &SuiteOptions,
-    pool: Option<&ParExec>,
-    store: Option<Arc<Store>>,
-) -> String {
-    let mut control = SuiteControl::new();
-    control.pool = pool;
-    control.store = store;
-    normalize_jobs(
-        &run_suite(machines, options, &CellLibrary::new(), control)
-            .expect("suite completes")
-            .to_json(),
-    )
-}
-
-/// The tentpole matrix: for every fault-model family, the full suite
-/// document is byte-identical between the sparse (default) and dense
-/// engines.
-#[test]
-fn suite_reports_identical_sparse_vs_dense_across_fault_models() {
-    let machines = corpus();
-    for fault_model in [
-        FaultModel::PermanentStuckAt,
-        FaultModel::TransientSeu { duration: 4 },
-        FaultModel::Intermittent { period: 3 },
-        FaultModel::MultiBitCluster { radius: 1 },
-    ] {
-        let sparse = suite_json(
-            &machines,
-            &engine_options(SolverEngine::Sparse, fault_model),
-            None,
-            None,
-        );
-        let dense = suite_json(
-            &machines,
-            &engine_options(SolverEngine::Dense, fault_model),
-            None,
-            None,
-        );
-        assert_eq!(sparse, dense, "fault model {fault_model}");
-    }
-}
-
-/// Engine choice is invisible to the store: a sparse cold run populates
-/// the cache, and a *dense* rerun must hit the same search keys (the
-/// engine is deliberately excluded from the fingerprint), returning the
-/// same bytes — and vice versa. Runs span `--jobs 1` and `--jobs 4`.
-#[test]
-fn store_keys_shared_between_engines_across_job_counts() {
-    let machines = corpus();
-    let sparse_opts = engine_options(SolverEngine::Sparse, FaultModel::PermanentStuckAt);
-    let dense_opts = engine_options(SolverEngine::Dense, FaultModel::PermanentStuckAt);
-
-    let store = Arc::new(Store::in_memory());
-    let cold_sparse = suite_json(&machines, &sparse_opts, None, Some(Arc::clone(&store)));
-    let search_puts = |s: &Store| {
-        s.stats()
-            .stages
-            .iter()
-            .find(|(stage, _)| stage == "search")
-            .map(|(_, c)| (c.hits, c.misses, c.puts))
-            .unwrap_or_default()
-    };
-    let (_, _, puts) = search_puts(&store);
-    assert!(puts > 0, "cold sparse run must store search artifacts");
-
-    let (hits_before, misses_before, _) = search_puts(&store);
-    let warm_dense = suite_json(
-        &machines,
-        &dense_opts,
-        Some(&ParExec::new(4)),
-        Some(Arc::clone(&store)),
-    );
-    let (hits_after, misses_after, _) = search_puts(&store);
-    assert!(
-        hits_after > hits_before,
-        "dense rerun must hit the sparse run's search artifacts"
-    );
-    assert_eq!(
-        misses_after, misses_before,
-        "dense rerun must not miss any search artifact the sparse run stored"
-    );
-    let warm_sparse = suite_json(
-        &machines,
-        &sparse_opts,
-        Some(&ParExec::new(1)),
-        Some(Arc::clone(&store)),
-    );
-
-    assert_eq!(cold_sparse, warm_dense, "sparse cold vs dense warm");
-    assert_eq!(cold_sparse, warm_sparse, "sparse cold vs sparse warm");
-}
-
-/// Forced ladder descent (rounding disabled, then a starved LP budget)
-/// must produce identical `DegradationEvent` trails and final covers
-/// under both engines, machine by machine.
-#[test]
-fn degradation_trails_identical_under_both_engines() {
-    let lib = CellLibrary::new();
-    for (name, fsm) in corpus() {
-        for degrade in [
-            |c: &mut CedOptions| c.iterations = 0,
-            |c: &mut CedOptions| c.max_lp_solves = Some(1),
-        ] {
-            let mut sparse_opts = PipelineOptions::paper_defaults();
-            degrade(&mut sparse_opts.ced);
-            let mut dense_opts = sparse_opts.clone();
-            dense_opts.ced.engine = SolverEngine::Dense;
-
-            let sparse = run_circuit(&fsm, &LATENCIES, &sparse_opts, &lib).expect("pipeline");
-            let dense = run_circuit(&fsm, &LATENCIES, &dense_opts, &lib).expect("pipeline");
-            for (a, b) in sparse.latencies.iter().zip(&dense.latencies) {
-                assert_eq!(a.cover.masks, b.cover.masks, "{name} p={}", a.latency);
-                assert_eq!(a.method, b.method, "{name} p={}", a.latency);
-                assert_eq!(a.degradation, b.degradation, "{name} p={}", a.latency);
-            }
-        }
-    }
-}
-
 /// Independent cross-check: covers produced by the sparse engine
 /// certify under the BFS/rational verifier chain, which shares no code
 /// with the packed representation or the kernel reduction.
@@ -199,7 +47,6 @@ fn degradation_trails_identical_under_both_engines() {
 fn sparse_engine_covers_certify_independently() {
     let lib = CellLibrary::new();
     let options = PipelineOptions::paper_defaults();
-    assert_eq!(options.ced.engine, SolverEngine::Sparse, "sparse default");
     for (name, fsm) in corpus() {
         let report = run_circuit(&fsm, &LATENCIES, &options, &lib).expect("pipeline");
         let cert = ced_cert::certify_report(

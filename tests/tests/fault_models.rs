@@ -215,6 +215,31 @@ fn transient_suite_runs_end_to_end_and_certifies() {
     }
 }
 
+/// Intermittent and multi-bit campaigns run end-to-end too: no
+/// quarantines, the model label in the report header, and the same
+/// report bytes from the serial machine loop and from four workers.
+#[test]
+fn intermittent_and_multibit_suites_are_identical_across_job_counts() {
+    let pool = ParExec::new(4);
+    for model in [
+        FaultModel::Intermittent { period: 3 },
+        FaultModel::MultiBitCluster { radius: 1 },
+    ] {
+        let options = suite_options(Some(model));
+        let serial = run_suite_json(&options, None, None);
+        assert!(
+            serial.contains(&format!("\"fault_model\":\"{model}\"")),
+            "report must stamp the model label: {serial}"
+        );
+        assert!(serial.contains("\"quarantined\":0"), "{model}: {serial}");
+        assert_eq!(
+            serial,
+            run_suite_json(&options, Some(&pool), None),
+            "{model}: serial vs --jobs 4"
+        );
+    }
+}
+
 /// Store-key hygiene: permanent and non-permanent campaigns sharing
 /// one store must never serve each other's artifacts. The proof is
 /// differential — each model's stored rerun must equal its own

@@ -1,8 +1,8 @@
 //! Incremental ≡ from-scratch differential suite. The pinned
 //! invariant of the edit→re-diagnose loop: a baseline-seeded analysis
 //! of an edited machine is **byte-identical** to analyzing the edited
-//! machine from scratch — across solver engines, fault models, job
-//! counts and store temperature. The baseline only changes wall-clock
+//! machine from scratch — across fault models, job counts and store
+//! temperature. The baseline only changes wall-clock
 //! (per-fault-cone fragments promoted from the previous revision) and
 //! the stderr summary; never a payload byte.
 //!
@@ -14,7 +14,6 @@
 //! rebuild, and still yields the exact from-scratch payload.
 
 use ced_core::pipeline::PipelineOptions;
-use ced_core::SolverEngine;
 use ced_fsm::machine::{Fsm, OutputValue};
 use ced_fsm::suite as bench;
 use ced_par::ParExec;
@@ -119,11 +118,10 @@ fn with_retargeted_transition(fsm: &Fsm, t_idx: usize) -> Fsm {
     out
 }
 
-fn request(engine: SolverEngine, model: FaultModel) -> OpRequest {
+fn request(model: FaultModel) -> OpRequest {
     let mut request = OpRequest::new(OpKind::Check, "");
     request.latency = LATENCY;
     request.options = PipelineOptions::paper_defaults();
-    request.options.ced.engine = engine;
     request.options.fault_model = model;
     request
 }
@@ -151,41 +149,23 @@ fn frag_counters(store: &Store) -> StageCounters {
         .unwrap_or_default()
 }
 
-/// The tentpole differential: for every paper machine and every
-/// (engine × fault-model) cell, a random single-output-bit edit
+/// The tentpole differential: for every paper machine and fault
+/// model, a random single-output-bit edit
 /// analyzed incrementally — warm store seeded by the baseline's own
 /// run, and cold store with nothing to promote — matches the
 /// from-scratch storeless payload byte-for-byte, at 1 and 4 jobs.
 #[test]
-fn incremental_matches_from_scratch_across_engines_models_jobs_and_temperature() {
-    let configs: [(&str, SolverEngine, FaultModel); 4] = [
-        (
-            "sparse-perm",
-            SolverEngine::Sparse,
-            FaultModel::PermanentStuckAt,
-        ),
-        (
-            "dense-perm",
-            SolverEngine::Dense,
-            FaultModel::PermanentStuckAt,
-        ),
-        (
-            "sparse-trans",
-            SolverEngine::Sparse,
-            FaultModel::TransientSeu { duration: 4 },
-        ),
-        (
-            "dense-trans",
-            SolverEngine::Dense,
-            FaultModel::TransientSeu { duration: 4 },
-        ),
+fn incremental_matches_scratch_across_models_jobs_and_temperature() {
+    let configs: [(&str, FaultModel); 2] = [
+        ("perm", FaultModel::PermanentStuckAt),
+        ("trans", FaultModel::TransientSeu { duration: 4 }),
     ];
     let mut rng = Lcg(0xCED5);
     for name in MACHINES {
         let base = scaled(name);
-        for (tag, engine, model) in configs {
+        for (tag, model) in configs {
             let edited = random_output_edit(&base, &mut rng);
-            let request = request(engine, model);
+            let request = request(model);
             let what = format!("{name}/{tag}");
 
             // From-scratch reference: no store, no baseline.
@@ -225,7 +205,7 @@ fn structural_edits_fall_back_whole_stage_and_stay_identical() {
     let base = scaled("tav");
     let mut rng = Lcg(0xBEEF);
     let edited = with_retargeted_transition(&base, rng.below(base.transitions().len()));
-    let request = request(SolverEngine::Sparse, FaultModel::PermanentStuckAt);
+    let request = request(FaultModel::PermanentStuckAt);
 
     let (reference, _) = analyze(&edited, None, &request, 1, None);
 
@@ -250,7 +230,7 @@ fn structural_edits_fall_back_whole_stage_and_stay_identical() {
 fn promotion_observably_reuses_baseline_fragments() {
     let base = scaled("s27");
     let edited = random_output_edit(&base, &mut Lcg(7));
-    let request = request(SolverEngine::Sparse, FaultModel::PermanentStuckAt);
+    let request = request(FaultModel::PermanentStuckAt);
 
     let scratch = ScratchDir::new("promote");
     let store = Store::open(&scratch.0).expect("store opens");
@@ -281,7 +261,7 @@ fn promotion_observably_reuses_baseline_fragments() {
 #[test]
 fn poisoned_valid_fragment_trips_composition_and_degrades_to_rebuild() {
     let base = scaled("s27");
-    let request = request(SolverEngine::Sparse, FaultModel::PermanentStuckAt);
+    let request = request(FaultModel::PermanentStuckAt);
     let (reference, _) = analyze(&base, None, &request, 1, None);
 
     let scratch = ScratchDir::new("poison");
