@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment harnesses and Criterion benches.
+//! Shared helpers for the experiment harnesses and the edit/fleet emitters.
 
 use ced_core::pipeline::{run_circuit, CircuitReport, PipelineOptions};
 use ced_fsm::suite::{paper_table1, paper_table1_scaled, CircuitSpec};
@@ -152,12 +152,4 @@ pub fn run_suite(
         }
     }
     reports
-}
-
-/// A small deterministic pipeline configuration for benches (modest
-/// rounding budget so Criterion iterations stay fast).
-pub fn bench_options() -> PipelineOptions {
-    let mut options = PipelineOptions::paper_defaults();
-    options.ced.iterations = 200;
-    options
 }

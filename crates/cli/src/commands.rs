@@ -4,7 +4,7 @@ use crate::exit::{report_status, ExitStatus};
 use crate::options::{parse, parse_suite, Parsed};
 use ced_core::pipeline::{
     build_input_model, fault_list, prepare_machine, prepare_machine_stored, run_circuit_controlled,
-    PipelineControl, PipelineError, TableCheckpoint, TABLE_CHECKPOINT_KIND,
+    synthesize_circuit, PipelineControl, PipelineError, TableCheckpoint, TABLE_CHECKPOINT_KIND,
 };
 use ced_core::report::{degradation_notes, table1_header, table1_row};
 use ced_core::search::minimize_parity_functions;
@@ -218,7 +218,7 @@ pub fn stats(args: &[String]) -> CliResult {
 pub fn synth(args: &[String]) -> CliResult {
     let parsed = parse(args)?;
     let lib = CellLibrary::new();
-    let (_, circuit) = prepare_machine(&parsed.fsm, &parsed.options)?;
+    let circuit = synthesize_circuit(&parsed.fsm, &parsed.options)?;
     println!(
         "{}: r={} inputs, s={} state bits, {} outputs (n={} monitored bits)",
         circuit.name(),
@@ -750,7 +750,7 @@ pub fn store(args: &[String]) -> CliResult {
 /// `ced export` — write the synthesized machine as BLIF or Verilog.
 pub fn export(args: &[String]) -> CliResult {
     let parsed = parse(args)?;
-    let (_, circuit) = prepare_machine(&parsed.fsm, &parsed.options)?;
+    let circuit = synthesize_circuit(&parsed.fsm, &parsed.options)?;
     let text = match parsed.format.as_str() {
         "verilog" => circuit.to_verilog(),
         _ => circuit.to_blif(),

@@ -118,6 +118,55 @@ fn inject_succeeds_with_matching_semantics() {
     assert!(text.contains("missed: 0"));
 }
 
+fn write_text(text: &str) -> tempfile::TempPath {
+    let mut f = tempfile::NamedTempFile::new().expect("temp file");
+    f.write_all(text.as_bytes()).expect("write");
+    f.into_temp_path()
+}
+
+#[test]
+fn machines_too_wide_to_analyze_are_refused_but_still_synthesize() {
+    // A 24-state counter one-hot encoded: 1 input + 24 state bits
+    // overflow the transition-table address.
+    let mut counter = String::from(".i 1\n.o 1\n.s 24\n.r s0\n");
+    for i in 0..24 {
+        counter.push_str(&format!("0 s{i} s{i} 0\n1 s{i} s{} 1\n", (i + 1) % 24));
+    }
+    counter.push_str(".e\n");
+    let counter = write_text(&counter);
+    // A toggle with 64 outputs: 1 state bit + 64 outputs overflow the
+    // response word under any encoding.
+    let (zeros, ones) = ("0".repeat(64), "1".repeat(64));
+    let toggle = write_text(&format!(
+        ".i 1\n.o 64\n.s 2\n.r a\n0 a a {zeros}\n1 a b {ones}\n0 b b {ones}\n1 b a {zeros}\n.e\n"
+    ));
+    for (path, encoding) in [(&counter, "onehot"), (&toggle, "natural")] {
+        let file = path.to_str().unwrap();
+        for cmd in [
+            vec!["check", file],
+            vec!["table", file, "--latencies", "1"],
+            vec!["inject", file, "--campaign"],
+        ] {
+            let args = [&cmd[..], &["--encoding", encoding]].concat();
+            let out = ced(&args);
+            assert_eq!(out.status.code(), Some(1), "args {args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("machine too wide to analyze"), "{err}");
+        }
+    }
+    // Synthesis takes any width (the one-hot counter is left out only
+    // because minimizing it is slow in a debug build).
+    let file = toggle.to_str().unwrap();
+    for args in [vec!["synth", file], vec!["export", file]] {
+        let out = ced(&args);
+        assert!(
+            out.status.success(),
+            "args {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
 #[test]
 fn export_emits_blif_and_verilog() {
     let path = write_machine();

@@ -22,8 +22,8 @@ use ced_logic::MinimizeOptions;
 use ced_par::ParExec;
 use ced_runtime::{fnv1a64, Budget, ByteReader, ByteWriter, CheckpointError, Interrupted};
 use ced_sim::detect::{
-    fragment_context_bytes, BuildCheckpoint, BuildControl, DeltaSeed, DetectError, DetectOptions,
-    DetectStats, DetectabilityTable, InputModel, Semantics,
+    check_machine_width, fragment_context_bytes, BuildCheckpoint, BuildControl, DeltaSeed,
+    DetectError, DetectOptions, DetectStats, DetectabilityTable, InputModel, Semantics,
 };
 use ced_sim::fault::{all_faults, collapsed_faults, Fault, FaultModel};
 use ced_sim::tables::TransitionTables;
@@ -704,6 +704,8 @@ impl<'a> PipelineControl<'a> {
 ///
 /// Incomplete machines are completed with don't-care self-loops first
 /// (the usual convention for partially specified MCNC benchmarks).
+/// Unlike [`prepare_machine`], any interface width is accepted: the
+/// circuit is not analyzed here.
 ///
 /// # Errors
 ///
@@ -712,7 +714,20 @@ pub fn synthesize_circuit(
     fsm: &Fsm,
     options: &PipelineOptions,
 ) -> Result<FsmCircuit, PipelineError> {
-    Ok(prepare_machine(fsm, options)?.1)
+    let (fsm, enc) = complete_and_assign(fsm, options);
+    Ok(EncodedFsm::new(fsm, enc)?
+        .synthesize_with_sharing(&options.minimize, !options.isolate_output_logic))
+}
+
+/// Completes an incomplete machine with don't-care self-loops and
+/// assigns its state codes.
+fn complete_and_assign(fsm: &Fsm, options: &PipelineOptions) -> (Fsm, StateEncoding) {
+    let mut fsm = fsm.clone();
+    if fsm.check_complete().is_err() {
+        fsm.complete_with_self_loops();
+    }
+    let enc = assign(&fsm, options.encoding);
+    (fsm, enc)
 }
 
 /// Completes, encodes and synthesizes a machine, returning both the
@@ -721,7 +736,8 @@ pub fn synthesize_circuit(
 ///
 /// # Errors
 ///
-/// Propagates FSM validation failures.
+/// Propagates FSM validation failures, and refuses a machine too wide
+/// to analyze ([`DetectError::MachineTooWide`]) before synthesizing it.
 pub fn prepare_machine(
     fsm: &Fsm,
     options: &PipelineOptions,
@@ -738,17 +754,17 @@ pub fn prepare_machine(
 ///
 /// # Errors
 ///
-/// Propagates FSM validation failures.
+/// As [`prepare_machine`].
 pub fn prepare_machine_stored(
     fsm: &Fsm,
     options: &PipelineOptions,
     store: Option<&Store>,
 ) -> Result<(EncodedFsm, FsmCircuit), PipelineError> {
-    let mut fsm = fsm.clone();
-    if fsm.check_complete().is_err() {
-        fsm.complete_with_self_loops();
-    }
-    let enc = assign(&fsm, options.encoding);
+    let (fsm, enc) = complete_and_assign(fsm, options);
+    // Every analysis enters here: a machine whose transition tables
+    // cannot exist is refused before synthesis, the input model or any
+    // table extraction sizes an allocation by its interface.
+    check_machine_width(fsm.num_inputs(), enc.bits(), fsm.num_outputs())?;
     let Some(store) = store else {
         let encoded = EncodedFsm::new(fsm, enc)?;
         let circuit =

@@ -33,7 +33,9 @@ use ced_logic::gate::CellLibrary;
 use ced_par::ParExec;
 use ced_runtime::{Budget, Interrupted};
 use ced_sim::cone::cone_keys;
-use ced_sim::detect::{BuildControl, DetectOptions, DetectabilityTable, InputModel, Semantics};
+use ced_sim::detect::{
+    BuildControl, DetectError, DetectOptions, DetectabilityTable, InputModel, Semantics,
+};
 use ced_store::Store;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -213,6 +215,11 @@ impl From<PipelineError> for OpError {
     fn from(e: PipelineError) -> OpError {
         match e {
             PipelineError::Interrupted(i) => OpError::Interrupted(i.interrupted),
+            // The requested machine/encoding pair cannot be analyzed at
+            // all: the client's mistake, refused before any allocation.
+            PipelineError::Detect(e @ DetectError::MachineTooWide { .. }) => {
+                OpError::BadRequest(e.to_string())
+            }
             other => OpError::Failed(other.to_string()),
         }
     }
@@ -315,8 +322,7 @@ pub fn check_text_with_baseline(
 ) -> Result<(String, Option<DeltaSummary>), OpError> {
     let lib = CellLibrary::new();
     let options = &request.options;
-    let (encoded, circuit) =
-        prepare_machine_stored(fsm, options, store).map_err(|e| OpError::Failed(e.to_string()))?;
+    let (encoded, circuit) = prepare_machine_stored(fsm, options, store)?;
     let input_model =
         build_input_model(encoded.fsm(), encoded.encoding(), options.input_granularity);
     let faults = fault_list(&circuit, options);
@@ -331,8 +337,7 @@ pub fn check_text_with_baseline(
     let mut delta = None;
     let mut summary = None;
     if let Some(base) = baseline {
-        let (base_encoded, base_circuit) = prepare_machine_stored(base, options, store)
-            .map_err(|e| OpError::Failed(e.to_string()))?;
+        let (base_encoded, base_circuit) = prepare_machine_stored(base, options, store)?;
         let seed = delta_seed(
             &base_encoded,
             &base_circuit,
@@ -498,8 +503,7 @@ pub fn inject_text(
     use ced_inject::{run_campaign_stored, CampaignError, CampaignOptions};
 
     let options = &request.options;
-    let (_, circuit) =
-        prepare_machine_stored(fsm, options, store).map_err(|e| OpError::Failed(e.to_string()))?;
+    let (_, circuit) = prepare_machine_stored(fsm, options, store)?;
     let faults = fault_list(&circuit, options);
     // The campaign's oracle is exact only under hardware semantics
     // with exhaustive inputs; the cover must be verified under the

@@ -207,6 +207,37 @@ fn a_machine_that_fails_to_parse_is_bad_request_not_internal_error() {
 }
 
 #[test]
+fn a_machine_too_wide_to_analyze_is_bad_request_and_the_daemon_survives() {
+    // One-hot on 30 states is 30 state bits: the transition tables
+    // would need 2^31 entries, and the input model one slot per code.
+    let server = start(options());
+    let mut client = connect(&server);
+    let machine = counter_kiss2(30);
+    for cmd in ["check", "table"] {
+        let resp = client
+            .request(&obj(vec![
+                ("id", Json::str(cmd)),
+                ("cmd", Json::str(cmd)),
+                ("machine", Json::str(&machine)),
+                ("encoding", Json::str("onehot")),
+            ]))
+            .expect("round trip");
+        assert_eq!(status_of(&resp), "error", "{cmd}");
+        assert_eq!(error_kind(&resp), "bad_request", "{cmd}");
+        let message = resp.get("error").and_then(|e| e.get("message"));
+        assert!(
+            message
+                .and_then(Json::as_str)
+                .is_some_and(|m| m.contains("machine too wide to analyze")),
+            "{}",
+            resp.render()
+        );
+    }
+    health(&mut client);
+    shutdown(server, &mut client);
+}
+
+#[test]
 fn oversized_request_line_is_rejected_typed_then_the_connection_closes() {
     let server = start(ServeOptions {
         max_line_bytes: 1024,

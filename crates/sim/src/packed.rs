@@ -16,7 +16,7 @@
 //! Exactness: every query here is integer arithmetic on exactly the
 //! bits of the source rows, so results are equal — not approximately,
 //! but as the same booleans and indices — to the row-major queries
-//! ([`crate::detect::DetectabilityTable::first_uncovered`] and
+//! ([`crate::detect::DetectabilityTable::uncovered_rows`] and
 //! friends). The differential test battery pins this.
 //!
 //! [`SparseTables`] adds the GF(2) case-kernel
@@ -148,31 +148,11 @@ impl PackedTable {
         }
     }
 
-    /// The set of rows some mask in `masks` detects.
-    pub fn covered(&self, masks: &[u64]) -> RowSet {
-        let words: Vec<u64> = (0..self.words)
-            .map(|w| self.covered_word(masks, w))
-            .collect();
-        RowSet::from_words(words, self.rows)
-    }
-
     /// True iff every row is detected by some mask — equal to
     /// [`DetectabilityTable::all_covered`] on the packed rows, with a
     /// word-level early exit on the first uncovered block.
     pub fn all_covered(&self, masks: &[u64]) -> bool {
         (0..self.words).all(|w| self.covered_word(masks, w) == self.full_word(w))
-    }
-
-    /// The lowest packed-row index no mask detects, if any — equal to
-    /// [`DetectabilityTable::first_uncovered`] on the packed rows.
-    pub fn first_uncovered(&self, masks: &[u64]) -> Option<usize> {
-        for w in 0..self.words {
-            let miss = !self.covered_word(masks, w) & self.full_word(w);
-            if miss != 0 {
-                return Some(w * 64 + miss.trailing_zeros() as usize);
-            }
-        }
-        None
     }
 
     /// Packed-row indices no mask detects, ascending — equal to
@@ -299,19 +279,8 @@ mod tests {
                         (x >> 30) & 0x1FF
                     })
                     .collect();
-                assert_eq!(
-                    packed.first_uncovered(&masks),
-                    table.first_uncovered(&masks)
-                );
                 assert_eq!(packed.all_covered(&masks), table.all_covered(&masks));
                 assert_eq!(packed.uncovered_rows(&masks), table.uncovered_rows(&masks));
-                let covered = packed.covered(&masks);
-                for (i, row) in table.rows().iter().enumerate() {
-                    assert_eq!(
-                        covered.contains(i),
-                        masks.iter().any(|&m| row.detected_by(m))
-                    );
-                }
             }
         }
     }

@@ -13,6 +13,13 @@ use ced_fsm::encoded::FsmCircuit;
 use ced_runtime::{Budget, Interrupted};
 use std::collections::VecDeque;
 
+/// Most input + state bits a transition table is addressed by: the
+/// tables hold `2^(r+s)` entries, so this caps them at 16 Mi.
+pub const MAX_ADDRESS_BITS: usize = 24;
+
+/// Most state + output bits a response mask holds (one `u64`).
+pub const MAX_RESPONSE_BITS: usize = 64;
+
 /// What the extraction injects into the netlist.
 #[derive(Clone, Copy)]
 enum Injection<'a> {
@@ -127,11 +134,11 @@ impl TransitionTables {
         let s = circuit.state_bits();
         let o = circuit.num_outputs();
         assert!(
-            r + s <= 24,
+            r + s <= MAX_ADDRESS_BITS,
             "transition table too large: {} address bits",
             r + s
         );
-        assert!(s + o <= 64, "response exceeds 64 bits");
+        assert!(s + o <= MAX_RESPONSE_BITS, "response exceeds 64 bits");
         let netlist = circuit.netlist();
         let total = 1usize << (r + s);
         let mut next = vec![0u32; total];

@@ -211,19 +211,6 @@ impl RowSet {
         s
     }
 
-    /// Builds a set from backing words (LSB-first); bits beyond `rows`
-    /// are masked off.
-    pub fn from_words(mut words: Vec<u64>, rows: usize) -> RowSet {
-        words.resize(rows.div_ceil(64), 0);
-        let extra = words.len() * 64 - rows;
-        if extra > 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= u64::MAX >> extra;
-            }
-        }
-        RowSet { words, rows }
-    }
-
     /// Number of rows the set ranges over.
     pub fn rows(&self) -> usize {
         self.rows

@@ -1,4 +1,4 @@
-//! The campaign acceptance criterion: on suite machines, a cover
+//! The campaign acceptance check: on suite machines, a cover
 //! verified under hardware semantics must yield a campaign in which
 //! every injected detectable stuck-at fault is caught by the
 //! *synthesized checker netlist* within the latency bound, with zero

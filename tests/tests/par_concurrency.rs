@@ -6,6 +6,7 @@
 //! siblings, no disturbance of the merged record order.
 
 use ced_core::{run_suite, MachineStatus, SuiteControl, SuiteError, SuiteOptions};
+use ced_fsm::encoding::EncodingStrategy;
 use ced_fsm::generator::{generate, GeneratorConfig};
 use ced_fsm::machine::Fsm;
 use ced_fsm::suite as bench;
@@ -266,14 +267,14 @@ fn pooled_build_interrupt_resumes_byte_identical() {
 /// the input order, and the report equals the serial path's.
 #[test]
 fn worker_panic_quarantines_in_place_without_poisoning_siblings() {
-    // 1 state bit + 64 outputs = 65 monitored bits: transition-table
-    // extraction asserts "response exceeds 64 bits" and panics inside
-    // the worker, after synthesis has already succeeded.
+    // One-hot state assignment asserts "one-hot limited to 63 states",
+    // so a 64-state machine panics inside the worker while the small
+    // machines around it encode fine.
     let panicker = generate(&GeneratorConfig {
         name: "too-wide".into(),
         num_inputs: 1,
-        num_states: 2,
-        num_outputs: 64,
+        num_states: 64,
+        num_outputs: 1,
         cubes_per_state: 2,
         self_loop_bias: 0.3,
         output_dc_prob: 0.0,
@@ -285,10 +286,11 @@ fn worker_panic_quarantines_in_place_without_poisoning_siblings() {
         ("too-wide".to_string(), panicker),
         ("tav".to_string(), scaled("tav")),
     ];
-    let options = SuiteOptions {
+    let mut options = SuiteOptions {
         latencies: vec![1],
         ..SuiteOptions::default()
     };
+    options.pipeline.encoding = EncodingStrategy::OneHot;
     let lib = CellLibrary::new();
 
     let serial = run_suite(&machines, &options, &lib, SuiteControl::new())
@@ -310,7 +312,7 @@ fn worker_panic_quarantines_in_place_without_poisoning_siblings() {
             report.records[1]
                 .notes
                 .iter()
-                .any(|n| n.contains("panick") || n.contains("exceeds 64 bits")),
+                .any(|n| n.contains("panick") || n.contains("one-hot limited to 63 states")),
             "jobs={jobs}: quarantine notes must carry the panic: {:?}",
             report.records[1].notes
         );
