@@ -221,14 +221,11 @@ pub fn verify_solution(
 
     for &fault in faults {
         budget.tick(1, "certify/soundness")?;
-        let bad = match model {
-            FaultModel::MultiBitCluster { .. } => TransitionTables::faulty_set_budgeted(
-                circuit,
-                &model.expand(fault, circuit.netlist()),
-                budget,
-            )?,
-            _ => TransitionTables::faulty_budgeted(circuit, fault, budget)?,
-        };
+        let bad = TransitionTables::faulty_budgeted(
+            circuit,
+            &model.expand(fault, circuit.netlist()),
+            budget,
+        )?;
         let graph = ProductGraph {
             good: &good,
             bad: &bad,

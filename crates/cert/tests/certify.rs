@@ -145,7 +145,7 @@ fn planted_defect_is_refuted_with_replayable_witness() {
     assert!(!steps.is_empty());
     let (_, circuit) = ced_core::pipeline::prepare_machine(&fsm, &options).expect("prepare");
     let good = TransitionTables::good(&circuit);
-    let bad = TransitionTables::faulty(&circuit, *fault);
+    let bad = TransitionTables::faulty(&circuit, &[*fault]);
     let masks = &report.latencies[0].cover.masks;
     for (i, step) in steps.iter().enumerate() {
         let d = good.response(step.good_state, step.input)

@@ -1,7 +1,7 @@
 //! The `ced` subcommands.
 
 use crate::exit::{report_status, ExitStatus};
-use crate::options::{parse, parse_suite, Parsed};
+use crate::options::{parse, parse_machines, parse_suite, Parsed};
 use ced_core::pipeline::{
     build_input_model, fault_list, prepare_machine, prepare_machine_stored, run_circuit_controlled,
     synthesize_circuit, PipelineControl, PipelineError, TableCheckpoint, TABLE_CHECKPOINT_KIND,
@@ -779,22 +779,10 @@ pub fn minimize(args: &[String]) -> CliResult {
 
 /// `ced equiv` — sequential equivalence of two machines.
 pub fn equiv(args: &[String]) -> CliResult {
-    // Two positional files; reuse the common parser by splitting them.
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if files.len() != 2 {
-        return Err("equiv needs exactly two machine files".into());
-    }
-    let flags: Vec<String> = args
-        .iter()
-        .filter(|a| a.starts_with("--"))
-        .cloned()
-        .collect();
-    let mut args_a = vec![files[0].clone()];
-    args_a.extend(flags.clone());
-    let mut args_b = vec![files[1].clone()];
-    args_b.extend(flags);
-    let a = parse(&args_a)?;
-    let b = parse(&args_b)?;
+    let mut machines = parse_machines(args, 2)?.into_iter();
+    let (Some(a), Some(b)) = (machines.next(), machines.next()) else {
+        unreachable!("parse_machines returns exactly two machines");
+    };
     let (_, circuit_a) = prepare_machine(&a.fsm, &a.options)?;
     let (_, circuit_b) = prepare_machine(&b.fsm, &b.options)?;
     match ced_sim::equiv::check_equivalence(&circuit_a, &circuit_b) {

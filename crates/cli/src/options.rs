@@ -7,6 +7,7 @@ use ced_sim::detect::Semantics;
 use ced_sim::fault::FaultModel;
 
 /// Parsed common options plus the machine they apply to.
+#[derive(Clone)]
 pub struct Parsed {
     /// The machine loaded from the positional KISS2 path.
     pub fsm: Fsm,
@@ -67,7 +68,23 @@ pub struct Parsed {
 /// Reports unknown flags, missing values, bad numbers and file/parse
 /// failures with user-facing messages.
 pub fn parse(args: &[String]) -> Result<Parsed, Box<dyn std::error::Error>> {
-    let mut file: Option<String> = None;
+    let mut machines = parse_machines(args, 1)?;
+    Ok(machines.pop().expect("exactly one machine"))
+}
+
+/// Parses `<file>… [flags…]` with exactly `count` positional machine
+/// files: one [`Parsed`] per file, in order, all sharing the flags.
+/// This is the one place that knows which flags take a value, so a
+/// flag value is never mistaken for a file.
+///
+/// # Errors
+///
+/// As [`parse`], plus a wrong number of machine files.
+pub fn parse_machines(
+    args: &[String],
+    count: usize,
+) -> Result<Vec<Parsed>, Box<dyn std::error::Error>> {
+    let mut files: Vec<String> = Vec::new();
     let mut options = PipelineOptions::paper_defaults();
     let mut latency = 1usize;
     let mut latencies = vec![1usize, 2, 3];
@@ -214,26 +231,25 @@ pub fn parse(args: &[String]) -> Result<Parsed, Box<dyn std::error::Error>> {
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag `{flag}`").into());
             }
-            path => {
-                if file.replace(path.to_string()).is_some() {
-                    return Err("more than one machine file given".into());
-                }
-            }
+            path => files.push(path.to_string()),
         }
     }
     options.ced.seed = seed;
 
-    let path = file.ok_or("no machine file given (expected a .kiss2 path)")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let fsm = ced_fsm::kiss::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let baseline = match baseline_path {
-        Some(p) => {
-            let text = std::fs::read_to_string(&p).map_err(|e| format!("cannot read {p}: {e}"))?;
-            Some(ced_fsm::kiss::parse(&text).map_err(|e| format!("{p}: {e}"))?)
-        }
-        None => None,
+    if files.len() != count {
+        return Err(match (count, files.len()) {
+            (1, 0) => "no machine file given (expected a .kiss2 path)".into(),
+            (1, _) => "more than one machine file given".into(),
+            (_, n) => format!("expected {count} machine files, got {n}").into(),
+        });
+    }
+    let load = |path: &str| -> Result<Fsm, Box<dyn std::error::Error>> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        Ok(ced_fsm::kiss::parse(&text).map_err(|e| format!("{path}: {e}"))?)
     };
-    Ok(Parsed {
+    let fsm = load(&files[0])?;
+    let baseline = baseline_path.as_deref().map(load).transpose()?;
+    let first = Parsed {
         fsm,
         options,
         latency,
@@ -252,7 +268,17 @@ pub fn parse(args: &[String]) -> Result<Parsed, Box<dyn std::error::Error>> {
         jobs,
         store,
         baseline,
-    })
+    };
+    let rest = files[1..]
+        .iter()
+        .map(|path| {
+            Ok(Parsed {
+                fsm: load(path)?,
+                ..first.clone()
+            })
+        })
+        .collect::<Result<Vec<Parsed>, Box<dyn std::error::Error>>>()?;
+    Ok(std::iter::once(first).chain(rest).collect())
 }
 
 /// Parsed `ced suite` arguments (no positional machine file; machines

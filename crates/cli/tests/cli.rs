@@ -140,7 +140,21 @@ fn machines_too_wide_to_analyze_are_refused_but_still_synthesize() {
     let toggle = write_text(&format!(
         ".i 1\n.o 64\n.s 2\n.r a\n0 a a {zeros}\n1 a b {ones}\n0 b b {ones}\n1 b a {zeros}\n.e\n"
     ));
-    for (path, encoding) in [(&counter, "onehot"), (&toggle, "natural")] {
+    // A partially specified 2-state machine with 40 inputs: too wide
+    // under any encoding, refused before completion walks its 2^40
+    // input minterms per state.
+    let free = "-".repeat(39);
+    let wide = write_text(&format!(
+        ".i 40\n.o 1\n.s 2\n.r a\n0{free} a a 0\n1{free} a b 1\n0{free} b a 0\n.e\n"
+    ));
+    let stats = ced(&["stats", wide.to_str().unwrap()]);
+    assert!(stats.status.success());
+    assert!(String::from_utf8_lossy(&stats.stdout).contains("40 in / 2 states"));
+    for (path, encoding) in [
+        (&counter, "onehot"),
+        (&toggle, "natural"),
+        (&wide, "natural"),
+    ] {
         let file = path.to_str().unwrap();
         for cmd in [
             vec!["check", file],
@@ -218,6 +232,34 @@ fn equiv_detects_equal_and_different() {
     let diff = ced(&["equiv", a.to_str().unwrap(), c.to_str().unwrap()]);
     assert!(!diff.status.success());
     assert!(String::from_utf8_lossy(&diff.stdout).contains("NOT equivalent"));
+}
+
+#[test]
+fn equiv_flag_values_are_not_machine_files() {
+    let a = write_machine();
+    let b = write_machine();
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    for args in [
+        vec!["equiv", a, b, "--encoding", "onehot"],
+        vec!["equiv", "--encoding", "gray", a, b],
+        vec!["equiv", a, "--seed", "7", b],
+    ] {
+        let out = ced(&args);
+        assert!(
+            out.status.success(),
+            "args {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("equivalent"));
+    }
+    for args in [
+        vec!["equiv", a, "--encoding", "onehot"],
+        vec!["equiv", a, b, a],
+    ] {
+        let out = ced(&args);
+        assert_eq!(out.status.code(), Some(1), "args {args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("machine files"));
+    }
 }
 
 #[test]

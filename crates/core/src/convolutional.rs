@@ -28,9 +28,10 @@
 use crate::hardware::CedCost;
 use ced_fsm::encoded::FsmCircuit;
 use ced_logic::gate::CellLibrary;
-use ced_sim::coverage::SimRng;
 use ced_sim::fault::Fault;
 use ced_sim::tables::TransitionTables;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 /// A convolutional-code checker specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,12 +146,12 @@ pub fn simulate_convolutional_detection(
     seed: u64,
 ) -> ConvOutcome {
     let good = TransitionTables::good(circuit);
-    let bad = TransitionTables::faulty(circuit, fault);
+    let bad = TransitionTables::faulty(circuit, &[fault]);
     let r = circuit.num_inputs();
     let input_mask = if r >= 64 { u64::MAX } else { (1u64 << r) - 1 };
     let m = checker.memory();
 
-    let mut rng = SimRng::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut state = circuit.reset_code();
     let mut history: u32 = 0; // d_{t}, d_{t-1}, … in low bits
     let mut any_error = false;

@@ -13,7 +13,7 @@ use crate::search::{
 };
 use ced_fsm::encoded::{EncodedFsm, FsmCircuit};
 use ced_fsm::encoding::StateEncoding;
-use ced_fsm::encoding::{assign, EncodingStrategy};
+use ced_fsm::encoding::{assign, min_bits, EncodingStrategy};
 use ced_fsm::machine::{Fsm, FsmError};
 use ced_logic::cube::Literal;
 use ced_logic::gate::{CellLibrary, GateKind};
@@ -760,10 +760,18 @@ pub fn prepare_machine_stored(
     options: &PipelineOptions,
     store: Option<&Store>,
 ) -> Result<(EncodedFsm, FsmCircuit), PipelineError> {
-    let (fsm, enc) = complete_and_assign(fsm, options);
     // Every analysis enters here: a machine whose transition tables
     // cannot exist is refused before synthesis, the input model or any
-    // table extraction sizes an allocation by its interface.
+    // table extraction sizes an allocation by its interface. No
+    // encoding is narrower than the dense one, so a machine too wide
+    // even at that width is refused before completion walks its input
+    // minterms; the exact check follows once the codes are assigned.
+    check_machine_width(
+        fsm.num_inputs(),
+        min_bits(fsm.num_states()),
+        fsm.num_outputs(),
+    )?;
+    let (fsm, enc) = complete_and_assign(fsm, options);
     check_machine_width(fsm.num_inputs(), enc.bits(), fsm.num_outputs())?;
     let Some(store) = store else {
         let encoded = EncodedFsm::new(fsm, enc)?;

@@ -25,13 +25,14 @@ use ced_core::hardware::CedHardware;
 use ced_fsm::encoded::FsmCircuit;
 use ced_par::ParExec;
 use ced_runtime::{Budget, Interrupted};
-use ced_sim::coverage::SimRng;
 use ced_sim::detect::{
     BuildControl, DetectError, DetectOptions, DetectabilityTable, InputModel, Semantics,
 };
 use ced_sim::fault::{Fault, FaultModel};
 use ced_sim::tables::TransitionTables;
 use ced_store::Store;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::fmt;
 
 /// Campaign configuration. The latency bound is taken from the checker
@@ -374,14 +375,13 @@ fn judge_fault(
     store: Option<&Store>,
 ) -> Result<FaultJudgement, DetectError> {
     let analytic = analytic_verdict(circuit, fault, options.fault_model, ced.masks(), p, store)?;
-    let bad = match options.fault_model {
-        FaultModel::MultiBitCluster { .. } => TransitionTables::faulty_set(
-            circuit,
-            &options.fault_model.expand(fault, circuit.netlist()),
-        ),
-        _ => TransitionTables::faulty(circuit, fault),
-    };
-    let seed = options.seed ^ splitmix_scramble(i as u64);
+    let bad = TransitionTables::faulty(
+        circuit,
+        &options.fault_model.expand(fault, circuit.netlist()),
+    );
+    // Decorrelates per-fault seeds: the first word of a stream seeded
+    // with the fault index.
+    let seed = options.seed ^ StdRng::seed_from_u64(i as u64).next_u64();
     let (raw, mismatch) = drive_with_checker(circuit, ced, good, &bad, valid, p, options, seed);
     Ok(FaultJudgement {
         analytic,
@@ -515,7 +515,7 @@ fn drive_with_checker(
 ) -> (RawOutcome, Option<usize>) {
     let r = circuit.num_inputs();
     let input_mask = if r >= 64 { u64::MAX } else { (1u64 << r) - 1 };
-    let mut rng = SimRng::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut state = circuit.reset_code();
     let mut window: Option<usize> = None;
     let mut mismatch: Option<usize> = None;
@@ -587,14 +587,6 @@ fn valid_states(good: &TransitionTables) -> Vec<bool> {
         valid[c as usize] = true;
     }
     valid
-}
-
-/// Decorrelates per-fault seeds (SplitMix64 finalizer).
-fn splitmix_scramble(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -23,10 +23,11 @@
 use crate::campaign::CampaignOptions;
 use ced_core::hardware::CedHardware;
 use ced_fsm::encoded::FsmCircuit;
-use ced_sim::coverage::SimRng;
 use ced_sim::eval::eval_outputs_faulty;
 use ced_sim::fault::{collapsed_faults, Fault};
 use ced_sim::tables::TransitionTables;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 /// Classification of one checker-internal stuck-at fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +137,7 @@ fn build_probes(
     let n = circuit.total_bits();
     let union: u64 = ced.masks().iter().fold(0, |a, &m| a | m);
     let good = TransitionTables::good(circuit);
-    let mut rng = SimRng::new(options.seed ^ 0x0C4E_C4E2);
+    let mut rng = StdRng::seed_from_u64(options.seed ^ 0x0C4E_C4E2);
 
     // Probe vectors: (state, input, actual, clean?).
     let mut probes: Vec<(u64, u64, u64, bool)> = Vec::new();

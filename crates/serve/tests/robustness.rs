@@ -212,26 +212,31 @@ fn a_machine_too_wide_to_analyze_is_bad_request_and_the_daemon_survives() {
     // would need 2^31 entries, and the input model one slot per code.
     let server = start(options());
     let mut client = connect(&server);
-    let machine = counter_kiss2(30);
-    for cmd in ["check", "table"] {
-        let resp = client
-            .request(&obj(vec![
-                ("id", Json::str(cmd)),
-                ("cmd", Json::str(cmd)),
-                ("machine", Json::str(&machine)),
-                ("encoding", Json::str("onehot")),
-            ]))
-            .expect("round trip");
-        assert_eq!(status_of(&resp), "error", "{cmd}");
-        assert_eq!(error_kind(&resp), "bad_request", "{cmd}");
-        let message = resp.get("error").and_then(|e| e.get("message"));
-        assert!(
-            message
-                .and_then(Json::as_str)
-                .is_some_and(|m| m.contains("machine too wide to analyze")),
-            "{}",
-            resp.render()
-        );
+    // A 40-input machine is too wide under any encoding, and is
+    // refused before completing its unspecified 2^40 input minterms.
+    let free = "-".repeat(39);
+    let wide = format!(".i 40\n.o 1\n.s 2\n.r a\n0{free} a a 0\n1{free} a b 1\n.e\n");
+    for (machine, encoding) in [(counter_kiss2(30), "onehot"), (wide, "natural")] {
+        for cmd in ["check", "table"] {
+            let resp = client
+                .request(&obj(vec![
+                    ("id", Json::str(cmd)),
+                    ("cmd", Json::str(cmd)),
+                    ("machine", Json::str(&machine)),
+                    ("encoding", Json::str(encoding)),
+                ]))
+                .expect("round trip");
+            assert_eq!(status_of(&resp), "error", "{cmd}");
+            assert_eq!(error_kind(&resp), "bad_request", "{cmd}");
+            let message = resp.get("error").and_then(|e| e.get("message"));
+            assert!(
+                message
+                    .and_then(Json::as_str)
+                    .is_some_and(|m| m.contains("machine too wide to analyze")),
+                "{}",
+                resp.render()
+            );
+        }
     }
     health(&mut client);
     shutdown(server, &mut client);

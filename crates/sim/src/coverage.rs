@@ -12,7 +12,8 @@ use crate::detect::Semantics;
 use crate::fault::Fault;
 use crate::tables::TransitionTables;
 use ced_fsm::encoded::FsmCircuit;
-use rand_like::SplitMix64;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 /// Outcome of one fault-injection run. The run resolves at the *first*
 /// error activation — exactly the scope of the paper's guarantee
@@ -64,11 +65,11 @@ pub fn simulate_fault_detection(
 ) -> SimOutcome {
     assert!(latency >= 1, "latency bound must be at least 1");
     let good = TransitionTables::good(circuit);
-    let bad = TransitionTables::faulty(circuit, fault);
+    let bad = TransitionTables::faulty(circuit, &[fault]);
     let r = circuit.num_inputs();
     let input_mask = if r >= 64 { u64::MAX } else { (1u64 << r) - 1 };
 
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut state = circuit.reset_code(); // faulty-trajectory (actual) state
     let mut reference = circuit.reset_code(); // good companion (lockstep)
                                               // First-activation window: Some((activation_cycle, deadline)).
@@ -190,11 +191,11 @@ pub fn simulate_transient_fault_detection(
     assert!(latency >= 1, "latency bound must be at least 1");
     assert!(persistence >= 1, "persistence must be at least 1");
     let good = TransitionTables::good(circuit);
-    let bad = TransitionTables::faulty(circuit, fault);
+    let bad = TransitionTables::faulty(circuit, &[fault]);
     let r = circuit.num_inputs();
     let input_mask = if r >= 64 { u64::MAX } else { (1u64 << r) - 1 };
 
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut state = circuit.reset_code();
     let mut window: Option<usize> = None; // activation cycle
 
@@ -232,36 +233,6 @@ pub fn simulate_transient_fault_detection(
     }
     TransientOutcome::NoErrorObserved
 }
-
-/// Minimal deterministic PRNG (SplitMix64) so that `ced-sim` does not
-/// depend on `rand` at runtime; simulation streams must be reproducible
-/// across the workspace.
-mod rand_like {
-    /// SplitMix64 generator.
-    #[derive(Debug, Clone)]
-    pub struct SplitMix64 {
-        state: u64,
-    }
-
-    impl SplitMix64 {
-        /// Creates a generator from a seed.
-        pub fn new(seed: u64) -> SplitMix64 {
-            SplitMix64 { state: seed }
-        }
-
-        /// Next 64-bit value. (Named `next_u64`, not `next`, to avoid
-        /// confusion with `Iterator::next`.)
-        pub fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-}
-
-pub use rand_like::SplitMix64 as SimRng;
 
 #[cfg(test)]
 mod tests {
@@ -440,15 +411,6 @@ mod tests {
             {
                 assert!((1..=2).contains(&latency));
             }
-        }
-    }
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = SimRng::new(5);
-        let mut b = SimRng::new(5);
-        for _ in 0..10 {
-            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 }

@@ -64,7 +64,7 @@ impl FaultDictionary {
         let total = 1usize << (r + s);
         let mut tables = Vec::with_capacity(faults.len());
         for &fault in faults {
-            let bad = TransitionTables::faulty(circuit, fault);
+            let bad = TransitionTables::faulty(circuit, &[fault]);
             let mut table = vec![0u64; total];
             for code in 0..(1u64 << s) {
                 for input in 0..(1u64 << r) {
@@ -141,12 +141,13 @@ impl FaultDictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::SimRng;
     use crate::fault::collapsed_faults;
     use ced_fsm::encoded::EncodedFsm;
     use ced_fsm::encoding::{assign, EncodingStrategy};
     use ced_fsm::suite;
     use ced_logic::MinimizeOptions;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     fn circuit() -> FsmCircuit {
         let fsm = suite::worked_example();
@@ -169,9 +170,9 @@ mod tests {
         seed: u64,
     ) -> Vec<Observation> {
         let good = TransitionTables::good(c);
-        let bad = TransitionTables::faulty(c, fault);
+        let bad = TransitionTables::faulty(c, &[fault]);
         let r = c.num_inputs();
-        let mut rng = SimRng::new(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut state = c.reset_code();
         let mut out = Vec::new();
         for _ in 0..steps {
@@ -252,7 +253,7 @@ mod tests {
         let dict = FaultDictionary::build(&c, &faults, &masks);
         // Observations from the fault-free machine: zero syndromes.
         let good = TransitionTables::good(&c);
-        let mut rng = SimRng::new(2);
+        let mut rng = StdRng::seed_from_u64(2);
         let mut state = c.reset_code();
         let mut obs = Vec::new();
         for _ in 0..200 {

@@ -72,7 +72,7 @@ pub fn max_useful_latency(circuit: &FsmCircuit, faults: &[Fault]) -> usize {
     let good = TransitionTables::good(circuit);
     let activation_states = good.reachable_codes();
     for &f in faults {
-        let bad = TransitionTables::faulty(circuit, f);
+        let bad = TransitionTables::faulty(circuit, &[f]);
         let bound = activation_states
             .iter()
             .filter_map(|&c| shortest_loop_through(&bad, c))
@@ -142,7 +142,7 @@ mod tests {
         let good_bound = loop_bound(&good);
         let mut any_difference = false;
         for &f in faults.iter().take(20) {
-            let bad = TransitionTables::faulty(&c, f);
+            let bad = TransitionTables::faulty(&c, &[f]);
             if loop_bound(&bad) != good_bound {
                 any_difference = true;
                 break;

@@ -7,7 +7,7 @@
 //! over every `(state code, input)` pair, including unused codes a
 //! faulty machine may wander into, using 64-way bit-parallel evaluation.
 
-use crate::eval::{eval_words_faulty_into, eval_words_multi_faulty_into};
+use crate::eval::eval_words_faulty_into;
 use crate::fault::Fault;
 use ced_fsm::encoded::FsmCircuit;
 use ced_runtime::{Budget, Interrupted};
@@ -19,14 +19,6 @@ pub const MAX_ADDRESS_BITS: usize = 24;
 
 /// Most state + output bits a response mask holds (one `u64`).
 pub const MAX_RESPONSE_BITS: usize = 64;
-
-/// What the extraction injects into the netlist.
-#[derive(Clone, Copy)]
-enum Injection<'a> {
-    None,
-    One(Fault),
-    Many(&'a [Fault]),
-}
 
 /// Complete next-state/output tables of one machine (good or faulty).
 ///
@@ -53,19 +45,19 @@ impl TransitionTables {
     /// Panics if `r + s > 24` (table would exceed 16M entries) or
     /// `s + outputs > 64`.
     pub fn good(circuit: &FsmCircuit) -> TransitionTables {
-        match Self::extract(circuit, Injection::None, None) {
-            Ok(t) => t,
-            Err(_) => unreachable!("extraction without a budget cannot be interrupted"),
-        }
+        Self::faulty(circuit, &[])
     }
 
-    /// Extracts the tables of the circuit with `fault` injected.
+    /// Extracts the tables of the circuit with every fault of `faults`
+    /// injected at once (one net for a single stuck-at, the cluster
+    /// for a multi-bit fault — see [`crate::fault::FaultModel::expand`];
+    /// empty for the fault-free machine).
     ///
     /// # Panics
     ///
     /// See [`TransitionTables::good`].
-    pub fn faulty(circuit: &FsmCircuit, fault: Fault) -> TransitionTables {
-        match Self::extract(circuit, Injection::One(fault), None) {
+    pub fn faulty(circuit: &FsmCircuit, faults: &[Fault]) -> TransitionTables {
+        match Self::extract(circuit, faults, None) {
             Ok(t) => t,
             Err(_) => unreachable!("extraction without a budget cannot be interrupted"),
         }
@@ -86,48 +78,15 @@ impl TransitionTables {
     /// See [`TransitionTables::good`].
     pub fn faulty_budgeted(
         circuit: &FsmCircuit,
-        fault: Fault,
-        budget: &Budget,
-    ) -> Result<TransitionTables, Interrupted> {
-        Self::extract(circuit, Injection::One(fault), Some(budget))
-    }
-
-    /// Extracts the tables with every fault of `faults` injected at
-    /// once — the multi-bit cluster generalization of
-    /// [`TransitionTables::faulty`]. A singleton slice is identical to
-    /// the single-fault extraction.
-    ///
-    /// # Panics
-    ///
-    /// See [`TransitionTables::good`].
-    pub fn faulty_set(circuit: &FsmCircuit, faults: &[Fault]) -> TransitionTables {
-        match Self::extract(circuit, Injection::Many(faults), None) {
-            Ok(t) => t,
-            Err(_) => unreachable!("extraction without a budget cannot be interrupted"),
-        }
-    }
-
-    /// [`TransitionTables::faulty_set`] under a [`Budget`]; same
-    /// contract as [`TransitionTables::faulty_budgeted`].
-    ///
-    /// # Errors
-    ///
-    /// The budget's interruption; no partial tables are returned.
-    ///
-    /// # Panics
-    ///
-    /// See [`TransitionTables::good`].
-    pub fn faulty_set_budgeted(
-        circuit: &FsmCircuit,
         faults: &[Fault],
         budget: &Budget,
     ) -> Result<TransitionTables, Interrupted> {
-        Self::extract(circuit, Injection::Many(faults), Some(budget))
+        Self::extract(circuit, faults, Some(budget))
     }
 
     fn extract(
         circuit: &FsmCircuit,
-        fault: Injection<'_>,
+        faults: &[Fault],
         budget: Option<&Budget>,
     ) -> Result<TransitionTables, Interrupted> {
         let r = circuit.num_inputs();
@@ -163,13 +122,7 @@ impl TransitionTables {
                 }
                 *w = word;
             }
-            match fault {
-                Injection::One(f) => eval_words_faulty_into(netlist, &in_words, f, &mut values),
-                Injection::Many(fs) => {
-                    eval_words_multi_faulty_into(netlist, &in_words, fs, &mut values)
-                }
-                Injection::None => netlist.eval_words_into(&in_words, &mut values),
-            }
+            eval_words_faulty_into(netlist, &in_words, faults, &mut values);
             let outs = netlist.outputs();
             for t in 0..batch {
                 let idx = base + t;
@@ -339,7 +292,7 @@ mod tests {
         // not fully redundant).
         let mut any_diff = false;
         for f in faults {
-            let bad = TransitionTables::faulty(&c, f);
+            let bad = TransitionTables::faulty(&c, &[f]);
             let diff = good.diff(&bad);
             if diff.iter().any(|&d| d != 0) {
                 any_diff = true;
@@ -357,24 +310,12 @@ mod tests {
     }
 
     #[test]
-    fn singleton_fault_set_matches_single_fault_tables() {
-        let c = circuit();
-        for f in crate::fault::all_faults(c.netlist()) {
-            assert_eq!(
-                TransitionTables::faulty_set(&c, &[f]),
-                TransitionTables::faulty(&c, f),
-                "{f}"
-            );
-        }
-    }
-
-    #[test]
     fn stuck_output_fault_shows_in_output_bits() {
         let c = circuit();
         let good = TransitionTables::good(&c);
         // Fault the net driving the primary output (last netlist output).
         let out_net = *c.netlist().outputs().last().unwrap();
-        let bad = TransitionTables::faulty(&c, Fault::new(out_net, true));
+        let bad = TransitionTables::faulty(&c, &[Fault::new(out_net, true)]);
         let s = c.state_bits();
         let mut saw_output_diff = false;
         for code in 0..(1u64 << s) {

@@ -176,14 +176,15 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use ced_sim::diagnose::{FaultDictionary, Observation};
-        use ced_sim::coverage::SimRng;
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
         let faults = collapsed_faults(circuit.netlist());
         let masks: Vec<u64> = (0..circuit.total_bits()).map(|b| 1 << b).collect();
         let dict = FaultDictionary::build(&circuit, &faults, &masks);
         let good = TransitionTables::good(&circuit);
         for (i, &f) in faults.iter().enumerate().take(6) {
-            let bad = TransitionTables::faulty(&circuit, f);
-            let mut rng = SimRng::new(seed ^ i as u64);
+            let bad = TransitionTables::faulty(&circuit, &[f]);
+            let mut rng = StdRng::seed_from_u64(seed ^ i as u64);
             let mut state = circuit.reset_code();
             let mut obs = Vec::new();
             for _ in 0..40 {

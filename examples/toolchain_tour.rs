@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dict = FaultDictionary::build(&small, &faults, &outcome.cover.masks);
     let culprit = 3usize;
     let good = TransitionTables::good(&small);
-    let bad = TransitionTables::faulty(&small, faults[culprit]);
+    let bad = TransitionTables::faulty(&small, &[faults[culprit]]);
     let mut state = small.reset_code();
     let mut observations = Vec::new();
     let mut x = 0x5EEDu64;

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut activations = 0usize;
     let mut seu_escapes = 0usize;
     for &fault in &faults {
-        let bad = ced_sim::tables::TransitionTables::faulty(&circuit, fault);
+        let bad = ced_sim::tables::TransitionTables::faulty(&circuit, &[fault]);
         for &c in &good.reachable_codes() {
             for a in 0..(1u64 << circuit.num_inputs()) {
                 let d1 = good.response(c, a) ^ bad.response(c, a);
