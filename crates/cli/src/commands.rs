@@ -9,11 +9,11 @@ use ced_core::pipeline::{
 use ced_core::report::{degradation_notes, table1_header, table1_row};
 use ced_core::search::minimize_parity_functions;
 use ced_core::suite::{SuiteCheckpoint, SuiteControl, SuiteError, SUITE_CHECKPOINT_KIND};
-use ced_core::synthesize_ced;
 use ced_fsm::analysis::FsmStats;
 use ced_logic::gate::CellLibrary;
 use ced_par::ParExec;
 use ced_runtime::{load_checkpoint, save_checkpoint, Budget, Heartbeat};
+use ced_serve::{ops, OpError, OpKind, OpRequest};
 use ced_sim::coverage::{simulate_fault_detection, SimOutcome};
 use ced_sim::detect::{BuildControl, DetectOptions, DetectabilityTable};
 use ced_store::Store;
@@ -100,17 +100,45 @@ fn finish_store(store: Option<&Store>, quiet: bool) {
     );
 }
 
-/// Assembles the run budget from `--deadline-ms`/`--ticks` plus a
-/// heartbeat observer.
-fn run_budget(deadline_ms: Option<u64>, ticks: Option<u64>, heartbeat: Arc<Heartbeat>) -> Budget {
-    let mut budget = Budget::new().with_observer(1024, move |done, _bytes| heartbeat.observe(done));
-    if let Some(ms) = deadline_ms {
+/// Assembles the run budget from `--deadline-ms`/`--ticks`, plus a
+/// heartbeat observer when the command reports progress.
+fn run_budget(parsed: &Parsed, heartbeat: Option<Arc<Heartbeat>>) -> Budget {
+    let mut budget = Budget::new();
+    if let Some(heartbeat) = heartbeat {
+        budget = budget.with_observer(1024, move |done, _bytes| heartbeat.observe(done));
+    }
+    if let Some(ms) = parsed.deadline_ms {
         budget = budget.with_deadline(std::time::Duration::from_millis(ms));
     }
-    if let Some(t) = ticks {
+    if let Some(t) = parsed.ticks {
         budget = budget.with_tick_cap(t);
     }
     budget
+}
+
+/// The shared analysis request for `kind` with the parsed flags. The
+/// machine travels separately (already parsed), so `kiss2` stays empty.
+fn op_request(kind: OpKind, parsed: &Parsed) -> OpRequest {
+    let mut request = OpRequest::new(kind, "");
+    request.latency = parsed.latency;
+    request.latencies = parsed.latencies.clone();
+    request.options = parsed.options.clone();
+    request.seed = parsed.seed;
+    request.steps = parsed.steps;
+    request.checker_faults = parsed.checker_faults;
+    request
+}
+
+/// Maps a failed analysis onto the exit table: a budget stop is
+/// cancelled (4), anything else an error (1).
+fn op_failure(command: &str, e: OpError) -> CliResult {
+    match e {
+        OpError::Interrupted(i) => {
+            eprintln!("[ced] {command} {i}");
+            Ok(ExitStatus::Cancelled)
+        }
+        e => Err(e.to_string().into()),
+    }
 }
 
 /// `ced gen` — emit a seeded synthetic scaling machine as KISS2.
@@ -243,52 +271,34 @@ pub fn synth(args: &[String]) -> CliResult {
 
 /// `ced check` — run Algorithm 1 at one latency bound.
 ///
-/// The whole analysis lives in
-/// [`ced_serve::ops::check_text_with_baseline`] — the same function the
-/// `ced serve` daemon executes for both `check` and `analyze-delta` —
-/// so a served payload is byte-identical to this command's stdout by
-/// construction. `--baseline <file>` seeds incremental re-analysis from
-/// a previous machine revision; the stdout report is unchanged and the
-/// dirty-cone summary goes to stderr.
+/// The whole analysis lives in [`ops::check_text_with_baseline`] — the
+/// same function the `ced serve` daemon executes for both `check` and
+/// `analyze-delta` — so a served payload is byte-identical to this
+/// command's stdout by construction. `--baseline <file>` seeds
+/// incremental re-analysis from a previous machine revision; the stdout
+/// report is unchanged and the dirty-cone summary goes to stderr.
 pub fn check(args: &[String]) -> CliResult {
     let parsed = parse(args)?;
     let store = open_store(parsed.store.as_deref())?;
-    let mut request = ced_serve::OpRequest::new(ced_serve::OpKind::Check, "");
-    request.latency = parsed.latency;
-    request.options = parsed.options.clone();
-    request.seed = parsed.seed;
-    let mut budget = Budget::new();
-    if let Some(ms) = parsed.deadline_ms {
-        budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-    }
-    if let Some(t) = parsed.ticks {
-        budget = budget.with_tick_cap(t);
-    }
-    let pool = ParExec::new(parsed.jobs);
-    match ced_serve::ops::check_text_with_baseline(
+    let (text, summary) = match ops::check_text_with_baseline(
         &parsed.fsm,
         parsed.baseline.as_ref(),
-        &request,
-        &budget,
-        &pool,
+        &op_request(OpKind::Check, &parsed),
+        &run_budget(&parsed, None),
+        &ParExec::new(parsed.jobs),
         store.as_deref(),
     ) {
-        Ok((text, summary)) => {
-            if let Some(summary) = summary {
-                if !parsed.quiet {
-                    eprintln!("[ced] {}", summary.render_line());
-                }
-            }
-            print!("{text}");
-            finish_store(store.as_deref(), parsed.quiet);
-            Ok(ExitStatus::Ok)
+        Ok(done) => done,
+        Err(e) => return op_failure("check", e),
+    };
+    if let Some(summary) = summary {
+        if !parsed.quiet {
+            eprintln!("[ced] {}", summary.render_line());
         }
-        Err(ced_serve::OpError::Interrupted(i)) => {
-            eprintln!("[ced] check {i}");
-            Ok(ExitStatus::Cancelled)
-        }
-        Err(e) => Err(e.to_string().into()),
     }
+    print!("{text}");
+    finish_store(store.as_deref(), parsed.quiet);
+    Ok(ExitStatus::Ok)
 }
 
 /// `ced serve` — the long-lived analysis daemon (see `ced-serve`).
@@ -357,7 +367,7 @@ pub fn table(args: &[String]) -> CliResult {
     let heartbeat = Arc::new(
         Heartbeat::new(&format!("table {}", parsed.fsm.name()), "work units").quiet(parsed.quiet),
     );
-    let budget = run_budget(parsed.deadline_ms, parsed.ticks, heartbeat.clone());
+    let budget = run_budget(&parsed, Some(heartbeat.clone()));
 
     let resume = parsed
         .resume
@@ -489,7 +499,7 @@ pub fn suite(args: &[String]) -> CliResult {
     // report output (JSON Lines when writing to a file).
     let mut json = report.to_json();
     if parsed.certify {
-        let certs = certify_suite(&mut report, &parsed, &lib, &pool, store.as_deref());
+        let certs = certify_suite(&mut report, &parsed, &pool, store.as_deref());
         json = format!(
             "{}\n{}",
             report.to_json(),
@@ -511,47 +521,25 @@ pub fn suite(args: &[String]) -> CliResult {
 }
 
 /// `ced certify` — run the pipeline, then independently re-prove every
-/// claim it made with the `ced-cert` verifier chain. Exits nonzero
-/// unless every stage of every latency bound certifies.
+/// claim it made with the `ced-cert` verifier chain ([`ops::certify`]).
+/// Exits nonzero unless every stage of every latency bound certifies.
 pub fn certify(args: &[String]) -> CliResult {
     let parsed = parse(args)?;
-    let lib = CellLibrary::new();
     let heartbeat = Arc::new(
         Heartbeat::new(&format!("certify {}", parsed.fsm.name()), "work units").quiet(parsed.quiet),
     );
-    let budget = run_budget(parsed.deadline_ms, parsed.ticks, heartbeat.clone());
-    let pool = ParExec::new(parsed.jobs);
+    let budget = run_budget(&parsed, Some(heartbeat.clone()));
     let store = open_store(parsed.store.as_deref())?;
-    let report = match run_circuit_controlled(
+    let cert = match ops::certify(
         &parsed.fsm,
-        &parsed.latencies,
-        &parsed.options,
-        &lib,
-        PipelineControl {
-            pool: Some(&pool),
-            store: store.as_deref(),
-            ..PipelineControl::new(&budget)
-        },
-    ) {
-        Ok(report) => report,
-        Err(PipelineError::Interrupted(i)) => {
-            eprintln!("[ced] certify: pipeline {}", i.interrupted);
-            return Ok(ExitStatus::Cancelled);
-        }
-        Err(e) => return Err(e.into()),
-    };
-    let cert = ced_cert::certify_report_stored(
-        &parsed.fsm,
-        &report,
-        &parsed.options,
-        &ced_cert::CertifyOptions {
-            seed: parsed.seed,
-            ..ced_cert::CertifyOptions::default()
-        },
+        &op_request(OpKind::Certify, &parsed),
         &budget,
-        &pool,
+        &ParExec::new(parsed.jobs),
         store.as_deref(),
-    )?;
+    ) {
+        Ok(cert) => cert,
+        Err(e) => return op_failure("certify", e),
+    };
     heartbeat.finish(budget.ticks());
     finish_store(store.as_deref(), parsed.quiet);
     print!("{}", ced_cert::report::render_text(&cert));
@@ -572,14 +560,14 @@ pub fn certify(args: &[String]) -> CliResult {
     }
 }
 
-/// Re-proves every finished suite record with the certification layer.
-/// Refuted machines are quarantined in place (status re-rendered, note
-/// appended); refusals and certification errors are surfaced as notes
-/// on stderr but do not quarantine — only a concrete witness does.
+/// Re-proves every finished suite record with [`ops::certify`] at the
+/// default certifier seed. Refuted machines are quarantined in place
+/// (status re-rendered, note appended); refusals and certification
+/// errors are surfaced as notes on stderr but do not quarantine — only
+/// a concrete witness does.
 fn certify_suite(
     report: &mut ced_core::SuiteReport,
     parsed: &crate::options::SuiteArgs,
-    lib: &CellLibrary,
     pool: &ParExec,
     store: Option<&Store>,
 ) -> Vec<ced_cert::MachineCertification> {
@@ -591,9 +579,11 @@ fn certify_suite(
         if rec.status == ced_core::MachineStatus::Quarantined {
             continue; // nothing finished, nothing to certify
         }
+        let mut request = OpRequest::new(OpKind::Certify, "");
+        request.latencies = parsed.options.latencies.clone();
         // A two-attempt record ran under the degraded option set; the
         // certifier must reproduce the same deterministic artifacts.
-        let pipeline = if rec.attempts > 1 {
+        request.options = if rec.attempts > 1 {
             ced_core::suite::degraded_pipeline(&parsed.options.pipeline)
         } else {
             parsed.options.pipeline.clone()
@@ -605,31 +595,7 @@ fn certify_suite(
         if let Some(t) = parsed.options.machine_ticks {
             budget = budget.with_tick_cap(t);
         }
-        let outcome = run_circuit_controlled(
-            fsm,
-            &parsed.options.latencies,
-            &pipeline,
-            lib,
-            PipelineControl {
-                pool: Some(pool),
-                store,
-                ..PipelineControl::new(&budget)
-            },
-        )
-        .map_err(|e| e.to_string())
-        .and_then(|pr| {
-            ced_cert::certify_report_stored(
-                fsm,
-                &pr,
-                &pipeline,
-                &ced_cert::CertifyOptions::default(),
-                &budget,
-                pool,
-                store,
-            )
-            .map_err(|e| e.to_string())
-        });
-        match outcome {
+        match ops::certify(fsm, &request, &budget, pool, store) {
             Ok(cert) => {
                 if !parsed.quiet {
                     eprintln!("[ced] certify: {name} {}", cert.verdict());
@@ -763,9 +729,7 @@ pub fn export(args: &[String]) -> CliResult {
 pub fn minimize(args: &[String]) -> CliResult {
     let parsed = parse(args)?;
     let mut fsm = parsed.fsm.clone();
-    if fsm.check_complete().is_err() {
-        fsm.complete_with_self_loops();
-    }
+    fsm.complete_with_self_loops()?;
     let min = ced_fsm::minimize::minimize_states(&fsm)?;
     eprintln!(
         "{}: {} states → {} states",
@@ -796,7 +760,7 @@ pub fn equiv(args: &[String]) -> CliResult {
             output_b,
         } => {
             println!(
-                "NOT equivalent: input sequence {counterexample:?} yields outputs                  {output_a:b} vs {output_b:b}"
+                "NOT equivalent: input sequence {counterexample:?} yields outputs {output_a:b} vs {output_b:b}"
             );
             eprintln!("[ced] equiv: machines differ");
             Ok(ExitStatus::Refuted)
@@ -903,81 +867,38 @@ pub fn inject(args: &[String]) -> CliResult {
     }
 }
 
-/// `ced inject --campaign` — the full cross-validating campaign: cover
-/// synthesis under hardware semantics, machine-fault injection judged
-/// by the synthesized checker netlist, tensor cross-validation, and
-/// the checker-netlist self-audit.
+/// `ced inject --campaign` — the full cross-validating campaign
+/// ([`ops::inject`]): cover synthesis under hardware semantics,
+/// machine-fault injection judged by the synthesized checker netlist,
+/// tensor cross-validation, and the checker-netlist self-audit.
 fn inject_campaign(parsed: &Parsed, store: Option<&Store>) -> CliResult {
-    use ced_inject::{run_campaign_stored, CampaignError, CampaignOptions};
-    use ced_sim::detect::{InputModel, Semantics};
-
-    let (_, circuit) = prepare_machine_stored(&parsed.fsm, &parsed.options, store)?;
-    let faults = fault_list(&circuit, &parsed.options);
-    // The campaign's oracle is exact only under hardware semantics with
-    // exhaustive inputs; the cover must be verified under the same
-    // conditions or escapes would be expected, not disagreements.
-    let unlimited = Budget::unlimited();
-    let (table, dstats) = DetectabilityTable::build_many_controlled(
-        &circuit,
-        &faults,
-        &DetectOptions {
-            latency: parsed.latency,
-            semantics: Semantics::FaultyTrajectory,
-            input_model: InputModel::Exhaustive,
-            fault_model: parsed.options.fault_model,
-            ..DetectOptions::default()
-        },
-        &[parsed.latency],
-        BuildControl {
-            store,
-            ..BuildControl::new(&unlimited)
-        },
-    )?
-    .pop()
-    .expect("one latency requested");
-    let outcome = minimize_parity_functions(&table, &parsed.options.ced);
-    if !outcome.degradation.is_empty() {
-        println!("cover solved by {} after degradation:", outcome.method);
-        for event in &outcome.degradation {
+    let injection = match ops::inject(
+        &parsed.fsm,
+        &op_request(OpKind::Inject, parsed),
+        &run_budget(parsed, None),
+        &ParExec::new(parsed.jobs),
+        store,
+    ) {
+        Ok(injection) => injection,
+        Err(e) => return op_failure("inject", e),
+    };
+    let search = &injection.search;
+    if !search.degradation.is_empty() {
+        println!("cover solved by {} after degradation:", search.method);
+        for event in &search.degradation {
             println!("  {event}");
         }
     }
-    let ced = synthesize_ced(
-        &circuit,
-        &outcome.cover,
-        parsed.latency,
-        &parsed.options.minimize,
-    );
     println!(
         "campaign: {} machine faults ({} untestable), q = {} trees, p = {}",
-        dstats.faults, dstats.untestable_faults, outcome.q, parsed.latency
+        injection.stats.faults, injection.stats.untestable_faults, search.q, parsed.latency
     );
-    let report = run_campaign_stored(
-        &circuit,
-        &ced,
-        &faults,
-        &CampaignOptions {
-            steps: parsed.steps,
-            seed: parsed.seed ^ 0xCA3E,
-            checker_faults: parsed.checker_faults,
-            fault_model: parsed.options.fault_model,
-            ..CampaignOptions::default()
-        },
-        &Budget::unlimited(),
-        &ParExec::new(parsed.jobs),
-        store,
-    )
-    .map_err(|e| match e {
-        CampaignError::Detect(d) => d.to_string(),
-        CampaignError::Interrupted { .. } => {
-            unreachable!("an unlimited budget cannot interrupt")
-        }
-    })?;
-    print!("{}", report.render());
+    let report = &injection.report;
+    // Exactly the served `inject` payload, on stdout and in `--out`.
+    let text = report.render();
+    print!("{text}");
     if let Some(out) = &parsed.out {
-        // Exactly the rendered campaign report — the same bytes a
-        // served `inject` request returns as its payload.
-        std::fs::write(out, report.render()).map_err(|e| format!("cannot write {out}: {e}"))?;
+        std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
     }
     finish_store(store, parsed.quiet);
     if report.is_clean() {

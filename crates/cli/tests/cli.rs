@@ -168,15 +168,38 @@ fn machines_too_wide_to_analyze_are_refused_but_still_synthesize() {
             assert!(err.contains("machine too wide to analyze"), "{err}");
         }
     }
-    // Synthesis takes any width (the one-hot counter is left out only
-    // because minimizing it is slow in a debug build).
-    let file = toggle.to_str().unwrap();
-    for args in [vec!["synth", file], vec!["export", file]] {
-        let out = ced(&args);
+    // Synthesis takes a complete machine of any width (the one-hot
+    // counter is left out only because minimizing it is slow in a debug
+    // build), but refuses to complete the partial one.
+    for (path, code, want) in [
+        (&toggle, 0, ""),
+        (&wide, 1, "too wide to complete: 40 inputs"),
+    ] {
+        for cmd in ["synth", "export"] {
+            let out = ced(&[cmd, path.to_str().unwrap()]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{cmd}: {err}");
+            assert!(err.contains(want), "{err}");
+        }
+    }
+}
+
+#[test]
+fn budget_stops_exit_cancelled_in_every_stage() {
+    // `ced gen --scale 1`; the certify caps land in the pipeline and in
+    // the certifier stages, and every stop is exit 4, never an error.
+    let gen = ced(&["gen", "--scale", "1"]);
+    let path = write_text(&String::from_utf8_lossy(&gen.stdout));
+    let file = path.to_str().unwrap();
+    let exit = |args: &[&str], ticks| ced(&[args, &["--ticks", ticks]].concat()).status.code();
+    let inject = ["inject", file, "--campaign", "--latency", "2"];
+    assert_eq!(exit(&inject, "1"), Some(4));
+    let certify = ["certify", file, "--latencies", "1,2", "--quiet"];
+    for ticks in ["1", "10", "100", "1000", "2000", "5000"] {
+        let code = exit(&certify, ticks);
         assert!(
-            out.status.success(),
-            "args {args:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            code == Some(0) || code == Some(4),
+            "ticks {ticks}: {code:?}"
         );
     }
 }
@@ -230,8 +253,11 @@ fn equiv_detects_equal_and_different() {
     .unwrap();
     let c = f.into_temp_path();
     let diff = ced(&["equiv", a.to_str().unwrap(), c.to_str().unwrap()]);
-    assert!(!diff.status.success());
-    assert!(String::from_utf8_lossy(&diff.stdout).contains("NOT equivalent"));
+    assert_eq!(diff.status.code(), Some(3));
+    assert_eq!(
+        String::from_utf8_lossy(&diff.stdout),
+        "NOT equivalent: input sequence [0] yields outputs 1 vs 0\n"
+    );
 }
 
 #[test]

@@ -704,30 +704,33 @@ impl<'a> PipelineControl<'a> {
 ///
 /// Incomplete machines are completed with don't-care self-loops first
 /// (the usual convention for partially specified MCNC benchmarks).
-/// Unlike [`prepare_machine`], any interface width is accepted: the
-/// circuit is not analyzed here.
+/// Unlike [`prepare_machine`], a complete machine of any interface
+/// width is accepted: the circuit is not analyzed here.
 ///
 /// # Errors
 ///
-/// Propagates FSM validation failures.
+/// Propagates FSM validation failures, among them
+/// [`FsmError::TooWideToComplete`] for a partial machine with more
+/// inputs than completion walks.
 pub fn synthesize_circuit(
     fsm: &Fsm,
     options: &PipelineOptions,
 ) -> Result<FsmCircuit, PipelineError> {
-    let (fsm, enc) = complete_and_assign(fsm, options);
+    let (fsm, enc) = complete_and_assign(fsm, options)?;
     Ok(EncodedFsm::new(fsm, enc)?
         .synthesize_with_sharing(&options.minimize, !options.isolate_output_logic))
 }
 
 /// Completes an incomplete machine with don't-care self-loops and
 /// assigns its state codes.
-fn complete_and_assign(fsm: &Fsm, options: &PipelineOptions) -> (Fsm, StateEncoding) {
+fn complete_and_assign(
+    fsm: &Fsm,
+    options: &PipelineOptions,
+) -> Result<(Fsm, StateEncoding), FsmError> {
     let mut fsm = fsm.clone();
-    if fsm.check_complete().is_err() {
-        fsm.complete_with_self_loops();
-    }
+    fsm.complete_with_self_loops()?;
     let enc = assign(&fsm, options.encoding);
-    (fsm, enc)
+    Ok((fsm, enc))
 }
 
 /// Completes, encodes and synthesizes a machine, returning both the
@@ -771,7 +774,7 @@ pub fn prepare_machine_stored(
         min_bits(fsm.num_states()),
         fsm.num_outputs(),
     )?;
-    let (fsm, enc) = complete_and_assign(fsm, options);
+    let (fsm, enc) = complete_and_assign(fsm, options)?;
     check_machine_width(fsm.num_inputs(), enc.bits(), fsm.num_outputs())?;
     let Some(store) = store else {
         let encoded = EncodedFsm::new(fsm, enc)?;
@@ -908,11 +911,8 @@ pub fn machine_delta(old: &Fsm, new: &Fsm) -> MachineDelta {
     }
     let mut old = old.clone();
     let mut new = new.clone();
-    if old.check_complete().is_err() {
-        old.complete_with_self_loops();
-    }
-    if new.check_complete().is_err() {
-        new.complete_with_self_loops();
+    if old.complete_with_self_loops().is_err() || new.complete_with_self_loops().is_err() {
+        return structural("machine too wide to complete");
     }
     if old.reset_state() != new.reset_state() {
         return structural("reset state changed");

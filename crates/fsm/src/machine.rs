@@ -123,6 +123,12 @@ pub enum FsmError {
     },
     /// The machine has no states.
     NoStates,
+    /// The machine is partially specified and has more inputs than
+    /// [`Fsm::complete_with_self_loops`] completes.
+    TooWideToComplete {
+        /// The machine's input count.
+        inputs: usize,
+    },
 }
 
 impl fmt::Display for FsmError {
@@ -145,11 +151,22 @@ impl fmt::Display for FsmError {
                 write!(f, "no transition from state {state} on input {input:b}")
             }
             FsmError::NoStates => write!(f, "machine has no states"),
+            FsmError::TooWideToComplete { inputs } => write!(
+                f,
+                "partial machine too wide to complete: {inputs} inputs (self-loop completion \
+                 takes at most {MAX_COMPLETION_INPUTS})"
+            ),
         }
     }
 }
 
 impl std::error::Error for FsmError {}
+
+/// Most inputs [`Fsm::complete_with_self_loops`] completes: it walks
+/// all `2^inputs` input minterms of each state. This is the
+/// transition-table address bound of `ced-sim`, so a machine refused
+/// here has no transition tables to analyze either.
+pub const MAX_COMPLETION_INPUTS: usize = 24;
 
 /// A symbolic Mealy machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -366,10 +383,24 @@ impl Fsm {
         Ok(())
     }
 
-    /// Completes the machine: every unspecified (state, input) pair gets a
-    /// self-loop with all-don't-care outputs. This mirrors the common
-    /// synthesis convention for partially specified MCNC machines.
-    pub fn complete_with_self_loops(&mut self) {
+    /// Completes a partially specified machine: every unspecified
+    /// (state, input) pair gets a self-loop with all-don't-care outputs.
+    /// This mirrors the common synthesis convention for partially
+    /// specified MCNC machines. A complete machine is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsmError::TooWideToComplete`] for a partial machine
+    /// with more than [`MAX_COMPLETION_INPUTS`] inputs.
+    pub fn complete_with_self_loops(&mut self) -> Result<(), FsmError> {
+        if self.check_complete().is_ok() {
+            return Ok(());
+        }
+        if self.num_inputs > MAX_COMPLETION_INPUTS {
+            return Err(FsmError::TooWideToComplete {
+                inputs: self.num_inputs,
+            });
+        }
         for s in 0..self.states.len() {
             let state = StateId(s as u32);
             // Gather uncovered input minterms and re-cube them greedily by
@@ -391,6 +422,7 @@ impl Fsm {
                 });
             }
         }
+        Ok(())
     }
 
     /// The fraction of (state, input) pairs that self-loop — the paper's
@@ -526,7 +558,7 @@ mod tests {
             fsm.check_complete(),
             Err(FsmError::Incomplete { .. })
         ));
-        fsm.complete_with_self_loops();
+        fsm.complete_with_self_loops().unwrap();
         assert!(fsm.check_complete().is_ok());
         // Added self-loops go back to the same state.
         let t = fsm.transition_on(s0, 0b00).unwrap();
@@ -585,6 +617,13 @@ mod tests {
         };
         assert_eq!(state, s0);
         assert!(partial.transition_on(s0, input).is_none());
+        // Completion would walk those 2^40 minterms: refused, while the
+        // complete machine needs no walk.
+        assert!(matches!(
+            partial.complete_with_self_loops(),
+            Err(FsmError::TooWideToComplete { inputs: 40 })
+        ));
+        assert!(fsm.complete_with_self_loops().is_ok());
     }
 
     #[test]

@@ -240,7 +240,7 @@ mod tests {
                 output_pool: 2,
                 seed,
             });
-            fsm.complete_with_self_loops();
+            fsm.complete_with_self_loops().unwrap();
             let min = minimize_states(&fsm).unwrap();
             assert!(min.num_states() <= fsm.num_states());
             behaviour_equal(&fsm, &min, 300, seed ^ 0xABC);
@@ -260,7 +260,7 @@ mod tests {
     fn reset_class_is_new_reset() {
         let fsm = suite::traffic_light();
         let mut complete = fsm.clone();
-        complete.complete_with_self_loops();
+        complete.complete_with_self_loops().unwrap();
         let min = minimize_states(&complete).unwrap();
         assert_eq!(min.state_name(min.reset_state()), "G");
     }

@@ -2,39 +2,51 @@
 //!
 //! The serve differential guarantee — a served response payload is
 //! byte-identical to the corresponding one-shot CLI report — is not
-//! enforced by a test alone; it is enforced *by construction*: both
-//! the `ced` subcommands and the daemon's executors call the functions
+//! enforced by a test alone; it is enforced *by construction*: the
+//! `ced` subcommands and the daemon's executor call the same functions
 //! in this module, which take everything they need as parameters (the
 //! machine, the pipeline options, a [`Budget`], a [`ParExec`], an
-//! optional [`Store`]) and return the rendered payload as a value.
-//! Nothing here reads process globals, prints, or exits: a request
-//! scope is the only scope.
+//! optional [`Store`]) and return their result as a value. Nothing
+//! here reads process globals, prints, or exits: a request scope is
+//! the only scope.
 //!
-//! Payload formats per operation:
+//! What each front end shares:
 //!
-//! * [`OpKind::Check`] — the human text `ced check` prints on stdout;
-//! * [`OpKind::Table`] — the `ced-table-report/1` JSON that `ced table
-//!   --out` writes;
-//! * [`OpKind::Certify`] — the `ced-cert-report/1` JSON that `ced
-//!   certify --out` writes;
-//! * [`OpKind::Inject`] — the campaign text that `ced inject
-//!   --campaign --out` writes.
+//! * [`OpKind::Check`] — [`check_text_with_baseline`]: `ced check`
+//!   prints its text, the daemon returns it as the payload (and
+//!   `analyze-delta` adds the [`DeltaSummary`] line);
+//! * [`OpKind::Certify`] — [`certify`]: `ced certify` and `ced suite
+//!   --certify` render its [`MachineCertification`]; the payload is the
+//!   `ced-cert-report/1` JSON that `ced certify --out` writes;
+//! * [`OpKind::Inject`] — [`inject`]: `ced inject --campaign` prints
+//!   its [`Injection`]; the payload is the campaign report text that
+//!   `ced inject --campaign --out` writes;
+//! * [`OpKind::Table`] — [`table_json`] for the daemon only: `ced
+//!   table` makes the same two calls ([`run_circuit_controlled`], then
+//!   [`report_to_json`] for `--out`) itself, to add checkpoint/resume.
+//!
+//! The CLI keeps only parsing, printing and the mapping of [`OpError`]
+//! onto its exit codes.
 
+use ced_cert::report::cert_report_json;
+use ced_cert::MachineCertification;
 use ced_core::pipeline::{
     build_input_model, delta_seed, fault_list, machine_delta, minimize_parity_functions_stored,
     prepare_machine_stored, run_circuit_controlled, MachineDelta, PipelineControl, PipelineError,
     PipelineOptions,
 };
 use ced_core::report_to_json;
-use ced_core::search::minimize_parity_functions;
+use ced_core::search::{minimize_parity_functions, SearchOutcome};
 use ced_core::synthesize_ced;
 use ced_fsm::machine::Fsm;
+use ced_inject::{run_campaign_stored, CampaignError, CampaignOptions, CampaignReport};
 use ced_logic::gate::CellLibrary;
 use ced_par::ParExec;
 use ced_runtime::{Budget, Interrupted};
 use ced_sim::cone::cone_keys;
 use ced_sim::detect::{
-    BuildControl, DetectError, DetectOptions, DetectabilityTable, InputModel, Semantics,
+    BuildControl, DetectError, DetectOptions, DetectStats, DetectabilityTable, InputModel,
+    Semantics,
 };
 use ced_store::Store;
 use std::collections::HashSet;
@@ -83,8 +95,8 @@ pub struct OpRequest {
     pub latencies: Vec<usize>,
     /// Pipeline configuration (encoding, semantics, fault model, …).
     pub options: PipelineOptions,
-    /// Rounding seed (CLI `--seed`); also folded into the inject
-    /// campaign seed exactly as the CLI does.
+    /// Seed (CLI `--seed`) of the certifier's sampling and, folded
+    /// with a constant, of the inject campaign's stimulus.
     pub seed: u64,
     /// Cycles per injected fault (CLI `--steps`).
     pub steps: usize,
@@ -281,33 +293,21 @@ pub fn execute(
             )
         }
         OpKind::Table => table_json(&fsm, request, budget, pool, store).map(OpOutput::plain),
-        OpKind::Certify => certify_json(&fsm, request, budget, pool, store).map(OpOutput::plain),
-        OpKind::Inject => inject_text(&fsm, request, budget, pool, store).map(OpOutput::plain),
+        OpKind::Certify => certify(&fsm, request, budget, pool, store)
+            .map(|cert| OpOutput::plain(cert_report_json(&[cert]).render())),
+        OpKind::Inject => inject(&fsm, request, budget, pool, store)
+            .map(|injection| OpOutput::plain(injection.report.render())),
     }
 }
 
 /// `ced check` as a value: Algorithm 1 at one bound, rendered exactly
-/// as the CLI prints it (the CLI calls this and prints the result).
-///
-/// # Errors
-///
-/// As [`execute`].
-pub fn check_text(
-    fsm: &Fsm,
-    request: &OpRequest,
-    budget: &Budget,
-    pool: &ParExec,
-    store: Option<&Store>,
-) -> Result<String, OpError> {
-    check_text_with_baseline(fsm, None, request, budget, pool, store).map(|(text, _)| text)
-}
-
-/// [`check_text`] with an optional baseline machine seeding incremental
-/// re-analysis. The payload is byte-identical to the baseline-free call
-/// by construction: the baseline only adds a [`ced_core::pipeline::delta_seed`]
-/// to the fragment build (cross-machine promotion of clean cones) and
-/// computes the [`DeltaSummary`] — it never enters any fingerprint or
-/// the rendered text.
+/// as the CLI prints it, with an optional baseline machine seeding
+/// incremental re-analysis. The text is byte-identical to the
+/// baseline-free call by construction: the baseline only adds a
+/// [`ced_core::pipeline::delta_seed`] to the fragment build
+/// (cross-machine promotion of clean cones) and computes the
+/// [`DeltaSummary`] — it never enters any fingerprint or the rendered
+/// text.
 ///
 /// # Errors
 ///
@@ -442,32 +442,31 @@ pub fn table_json(
     Ok(report_to_json(&report).render())
 }
 
-/// `ced certify --out` as a value: the pipeline plus the independent
-/// verifier chain, rendered as the `ced-cert-report/1` JSON document.
+/// `ced certify` as a value: the pipeline across the requested bounds,
+/// then the independent verifier chain over every claim it made.
 ///
 /// # Errors
 ///
 /// As [`execute`].
-pub fn certify_json(
+pub fn certify(
     fsm: &Fsm,
     request: &OpRequest,
     budget: &Budget,
     pool: &ParExec,
     store: Option<&Store>,
-) -> Result<String, OpError> {
-    let lib = CellLibrary::new();
+) -> Result<MachineCertification, OpError> {
     let report = run_circuit_controlled(
         fsm,
         &request.latencies,
         &request.options,
-        &lib,
+        &CellLibrary::new(),
         PipelineControl {
             pool: Some(pool),
             store,
             ..PipelineControl::new(budget)
         },
     )?;
-    let cert = ced_cert::certify_report_stored(
+    ced_cert::certify_report_stored(
         fsm,
         &report,
         &request.options,
@@ -482,33 +481,43 @@ pub fn certify_json(
     .map_err(|e| match e {
         ced_cert::CertError::Interrupted(i) => OpError::Interrupted(i),
         other => OpError::Failed(other.to_string()),
-    })?;
-    Ok(ced_cert::report::cert_report_json(&[cert]).render())
+    })
 }
 
-/// `ced inject --campaign --out` as a value: cover synthesis under
-/// hardware semantics, the full cross-validating campaign, rendered as
-/// the campaign report text.
+/// An inject campaign as a value: the report, plus the tensor
+/// statistics and the cover of the checker it judged.
+#[derive(Debug, Clone)]
+pub struct Injection {
+    /// The hardware-semantics tensor build (fault and untestable
+    /// counts).
+    pub stats: DetectStats,
+    /// The cover the checker implements (`q`, and the degradation
+    /// trail when the solver ladder was needed).
+    pub search: SearchOutcome,
+    /// The cross-validating campaign.
+    pub report: CampaignReport,
+}
+
+/// `ced inject --campaign` as a value: cover synthesis under hardware
+/// semantics, then the full cross-validating campaign.
 ///
 /// # Errors
 ///
 /// As [`execute`].
-pub fn inject_text(
+pub fn inject(
     fsm: &Fsm,
     request: &OpRequest,
     budget: &Budget,
     pool: &ParExec,
     store: Option<&Store>,
-) -> Result<String, OpError> {
-    use ced_inject::{run_campaign_stored, CampaignError, CampaignOptions};
-
+) -> Result<Injection, OpError> {
     let options = &request.options;
     let (_, circuit) = prepare_machine_stored(fsm, options, store)?;
     let faults = fault_list(&circuit, options);
     // The campaign's oracle is exact only under hardware semantics
     // with exhaustive inputs; the cover must be verified under the
     // same conditions or escapes would be expected, not disagreements.
-    let (table, _) = DetectabilityTable::build_many_controlled(
+    let (table, stats) = DetectabilityTable::build_many_controlled(
         &circuit,
         &faults,
         &DetectOptions {
@@ -528,8 +537,8 @@ pub fn inject_text(
     .map_err(op_error_from_detect)?
     .pop()
     .expect("one latency requested");
-    let outcome = minimize_parity_functions(&table, &options.ced);
-    let ced = synthesize_ced(&circuit, &outcome.cover, request.latency, &options.minimize);
+    let search = minimize_parity_functions(&table, &options.ced);
+    let ced = synthesize_ced(&circuit, &search.cover, request.latency, &options.minimize);
     let report = run_campaign_stored(
         &circuit,
         &ced,
@@ -549,7 +558,11 @@ pub fn inject_text(
         CampaignError::Detect(d) => OpError::Failed(d.to_string()),
         CampaignError::Interrupted { interrupted, .. } => OpError::Interrupted(interrupted),
     })?;
-    Ok(report.render())
+    Ok(Injection {
+        stats,
+        search,
+        report,
+    })
 }
 
 /// Maps the tensor builder's error: budget interrupts stay typed, the

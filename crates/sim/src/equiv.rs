@@ -119,9 +119,7 @@ mod tests {
 
     fn synthesize(fsm: &ced_fsm::Fsm, strategy: EncodingStrategy) -> FsmCircuit {
         let mut fsm = fsm.clone();
-        if fsm.check_complete().is_err() {
-            fsm.complete_with_self_loops();
-        }
+        fsm.complete_with_self_loops().unwrap();
         let enc = assign(&fsm, strategy);
         EncodedFsm::new(fsm, enc)
             .unwrap()
@@ -142,7 +140,7 @@ mod tests {
     #[test]
     fn minimization_preserves_behaviour_gate_accurately() {
         let mut fsm = suite::traffic_light();
-        fsm.complete_with_self_loops();
+        fsm.complete_with_self_loops().unwrap();
         let min = minimize_states(&fsm).unwrap();
         let a = synthesize(&fsm, EncodingStrategy::Natural);
         let b = synthesize(&min, EncodingStrategy::Natural);

@@ -17,6 +17,10 @@ use std::collections::VecDeque;
 /// tables hold `2^(r+s)` entries, so this caps them at 16 Mi.
 pub const MAX_ADDRESS_BITS: usize = 24;
 
+// Self-loop completion refuses exactly the partial machines whose
+// inputs alone overflow a table address.
+const _: () = assert!(ced_fsm::machine::MAX_COMPLETION_INPUTS == MAX_ADDRESS_BITS);
+
 /// Most state + output bits a response mask holds (one `u64`).
 pub const MAX_RESPONSE_BITS: usize = 64;
 

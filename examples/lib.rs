@@ -10,9 +10,8 @@ use ced_logic::MinimizeOptions;
 /// it is partially specified.
 pub fn synthesize(fsm: &Fsm) -> FsmCircuit {
     let mut fsm = fsm.clone();
-    if fsm.check_complete().is_err() {
-        fsm.complete_with_self_loops();
-    }
+    fsm.complete_with_self_loops()
+        .expect("example machines are narrow enough to complete");
     let enc = assign(&fsm, EncodingStrategy::Natural);
     EncodedFsm::new(fsm, enc)
         .expect("well-formed example machine")
