@@ -390,6 +390,7 @@ impl From<Interrupted> for CertError {
 ///
 /// A refutation does **not** error — it comes back inside the
 /// [`MachineCertification`] so the caller can inspect the witness.
+/// This is the serial, storeless form of [`certify_report_stored`].
 ///
 /// # Errors
 ///
@@ -403,37 +404,32 @@ pub fn certify_report(
     options: &CertifyOptions,
     budget: &Budget,
 ) -> Result<MachineCertification, CertError> {
-    certify_report_pooled(fsm, report, pipeline, options, budget, &ParExec::serial())
+    certify_report_stored(
+        fsm,
+        report,
+        pipeline,
+        options,
+        budget,
+        &ParExec::serial(),
+        None,
+    )
 }
 
-/// [`certify_report`] on a worker pool. The per-claim verifiers —
-/// soundness BFS, exact-rational LP certificate, checker
-/// co-simulation, greedy differential, one quadruple per latency bound
-/// — are mutually independent, so they run as pool tasks; the table
-/// rebuild's per-fault extraction parallelizes through
-/// [`BuildControl::pool`]. Stage outcomes merge in canonical
-/// (latency, stage) order, so the certification — and the
-/// `ced-cert-report/1` JSON rendered from it — is byte-identical to
-/// the serial run at every job count, and an interrupt surfaces the
-/// error of the earliest claim in that canonical order.
+/// [`certify_report`] on a worker pool, with an optional
+/// content-addressed artifact store.
 ///
-/// # Errors
+/// **Pool.** The per-claim verifiers — soundness BFS, exact-rational LP
+/// certificate, checker co-simulation, greedy differential, one
+/// quadruple per latency bound — are mutually independent, so they run
+/// as pool tasks; the table rebuild's per-fault extraction
+/// parallelizes through [`BuildControl::pool`]. Stage outcomes merge in
+/// canonical (latency, stage) order, so the certification — and the
+/// `ced-cert-report/1` JSON rendered from it — is byte-identical to the
+/// serial run at every job count, and an interrupt surfaces the error
+/// of the earliest claim in that canonical order.
 ///
-/// As [`certify_report`].
-pub fn certify_report_pooled(
-    fsm: &Fsm,
-    report: &CircuitReport,
-    pipeline: &PipelineOptions,
-    options: &CertifyOptions,
-    budget: &Budget,
-    pool: &ParExec,
-) -> Result<MachineCertification, CertError> {
-    certify_report_stored(fsm, report, pipeline, options, budget, pool, None)
-}
-
-/// [`certify_report_pooled`] with an optional content-addressed
-/// artifact store: re-certification after a pipeline run reuses the
-/// run's `synth` circuit and per-latency `tensor` artifacts instead of
+/// **Store.** Re-certification after a pipeline run reuses the run's
+/// `synth` circuit and per-latency `tensor` artifacts instead of
 /// re-synthesizing and re-simulating. The verifier chain itself is
 /// never cached — a certification must re-prove its claims — so only
 /// the deterministic machine-preparation stages hit the store, and a

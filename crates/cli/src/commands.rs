@@ -3,19 +3,17 @@
 use crate::exit::{report_status, ExitStatus};
 use crate::options::{parse, parse_machines, parse_suite, Parsed};
 use ced_core::pipeline::{
-    build_input_model, fault_list, prepare_machine, prepare_machine_stored, run_circuit_controlled,
-    synthesize_circuit, PipelineControl, PipelineError, TableCheckpoint, TABLE_CHECKPOINT_KIND,
+    prepare_machine, run_circuit_controlled, synthesize_circuit, PipelineControl, PipelineError,
+    TableCheckpoint, TABLE_CHECKPOINT_KIND,
 };
 use ced_core::report::{degradation_notes, table1_header, table1_row};
-use ced_core::search::minimize_parity_functions;
 use ced_core::suite::{SuiteCheckpoint, SuiteControl, SuiteError, SUITE_CHECKPOINT_KIND};
 use ced_fsm::analysis::FsmStats;
+use ced_fsm::machine::{FsmError, MAX_COMPLETION_INPUTS};
 use ced_logic::gate::CellLibrary;
 use ced_par::ParExec;
 use ced_runtime::{load_checkpoint, save_checkpoint, Budget, Heartbeat};
 use ced_serve::{ops, OpError, OpKind, OpRequest};
-use ced_sim::coverage::{simulate_fault_detection, SimOutcome};
-use ced_sim::detect::{BuildControl, DetectOptions, DetectabilityTable};
 use ced_store::Store;
 use std::path::Path;
 use std::sync::Arc;
@@ -237,7 +235,16 @@ pub fn stats(args: &[String]) -> CliResult {
     let Parsed { fsm, .. } = parse(args)?;
     println!("{}", FsmStats::of(&fsm));
     if fsm.check_complete().is_err() {
-        println!("note: machine is partially specified; synthesis will add don't-care self-loops");
+        if fsm.num_inputs() > MAX_COMPLETION_INPUTS {
+            let refusal = FsmError::TooWideToComplete {
+                inputs: fsm.num_inputs(),
+            };
+            println!("note: machine is partially specified; synthesis refuses it: {refusal}");
+        } else {
+            println!(
+                "note: machine is partially specified; synthesis will add don't-care self-loops"
+            );
+        }
     }
     Ok(ExitStatus::Ok)
 }
@@ -759,8 +766,16 @@ pub fn equiv(args: &[String]) -> CliResult {
             output_a,
             output_b,
         } => {
+            // Bit k of an output word is KISS2 output column k.
+            let columns = |word: u64| -> String {
+                (0..circuit_a.num_outputs())
+                    .map(|k| if word >> k & 1 == 1 { '1' } else { '0' })
+                    .collect()
+            };
             println!(
-                "NOT equivalent: input sequence {counterexample:?} yields outputs {output_a:b} vs {output_b:b}"
+                "NOT equivalent: input sequence {counterexample:?} yields outputs {} vs {}",
+                columns(output_a),
+                columns(output_b)
             );
             eprintln!("[ced] equiv: machines differ");
             Ok(ExitStatus::Refuted)
@@ -771,111 +786,19 @@ pub fn equiv(args: &[String]) -> CliResult {
     }
 }
 
-/// `ced inject` — operational fault-injection validation.
+/// `ced inject` — the cross-validating fault-injection campaign
+/// ([`ops::inject`], the function the daemon runs): cover synthesis
+/// under hardware semantics, machine-fault injection judged by the
+/// synthesized checker netlist, tensor cross-validation, and the
+/// checker-netlist self-audit.
 pub fn inject(args: &[String]) -> CliResult {
     let parsed = parse(args)?;
     let store = open_store(parsed.store.as_deref())?;
-    if parsed.campaign {
-        return inject_campaign(&parsed, store.as_deref());
-    }
-    if !parsed.options.fault_model.is_permanent() {
-        return Err(format!(
-            "the quick operational check drives permanent faults only; run \
-             `ced inject --campaign --fault-model {}` for the model-aware campaign",
-            parsed.options.fault_model
-        )
-        .into());
-    }
-    let (encoded, circuit) =
-        prepare_machine_stored(&parsed.fsm, &parsed.options, store.as_deref())?;
-    let input_model = build_input_model(
-        encoded.fsm(),
-        encoded.encoding(),
-        parsed.options.input_granularity,
-    );
-    let faults = fault_list(&circuit, &parsed.options);
-    let unlimited = Budget::unlimited();
-    let (table, _) = DetectabilityTable::build_many_controlled(
-        &circuit,
-        &faults,
-        &DetectOptions {
-            latency: parsed.latency,
-            semantics: parsed.options.semantics,
-            input_model,
-            ..DetectOptions::default()
-        },
-        &[parsed.latency],
-        BuildControl {
-            store: store.as_deref(),
-            ..BuildControl::new(&unlimited)
-        },
-    )?
-    .pop()
-    .expect("one latency requested");
-    let outcome = minimize_parity_functions(&table, &parsed.options.ced);
-    println!(
-        "cover: q = {} trees, verifying operationally under {:?} semantics…",
-        outcome.q, parsed.options.semantics
-    );
-    let mut histogram = vec![0usize; parsed.latency + 1];
-    let mut quiet = 0usize;
-    let mut missed = 0usize;
-    // Each fault's drive is pure (its seed depends only on the fault
-    // index), so the pool judges them in parallel; the ordered merge
-    // keeps counts and MISS lines in fault order, byte-identical to
-    // the serial loop at every job count.
-    let pool = ParExec::new(parsed.jobs);
-    pool.for_each_ordered(
-        &faults,
-        |i, &fault| {
-            Ok::<_, std::convert::Infallible>(simulate_fault_detection(
-                &circuit,
-                fault,
-                &outcome.cover.masks,
-                parsed.latency,
-                3000,
-                parsed.seed ^ (i as u64) << 7,
-                parsed.options.semantics,
-            ))
-        },
-        |i, sim| match sim {
-            SimOutcome::NoErrorObserved => quiet += 1,
-            SimOutcome::DetectedInTime { latency } => histogram[latency] += 1,
-            SimOutcome::Missed { at_cycle } => {
-                missed += 1;
-                let fault = faults[i];
-                println!("  MISS: {fault} escaped its window (activation at cycle {at_cycle})");
-            }
-        },
-    )
-    .unwrap_or_else(|e| match e {});
-    for (cycles, count) in histogram.iter().enumerate().skip(1) {
-        println!("  detected in {cycles} cycle(s): {count} faults");
-    }
-    println!("  no error observed: {quiet}");
-    println!("  missed: {missed}");
-    finish_store(store.as_deref(), parsed.quiet);
-    if missed == 0 {
-        println!("bounded-latency guarantee held for every injected fault ✓");
-        Ok(ExitStatus::Ok)
-    } else {
-        eprintln!(
-            "[ced] inject: guarantee violated (expected with lockstep-verified covers judged \
-             by hardware semantics at p ≥ 2; see EXPERIMENTS.md E5)"
-        );
-        Ok(ExitStatus::Refuted)
-    }
-}
-
-/// `ced inject --campaign` — the full cross-validating campaign
-/// ([`ops::inject`]): cover synthesis under hardware semantics,
-/// machine-fault injection judged by the synthesized checker netlist,
-/// tensor cross-validation, and the checker-netlist self-audit.
-fn inject_campaign(parsed: &Parsed, store: Option<&Store>) -> CliResult {
+    let store = store.as_deref();
     let injection = match ops::inject(
         &parsed.fsm,
-        &op_request(OpKind::Inject, parsed),
-        &run_budget(parsed, None),
+        &op_request(OpKind::Inject, &parsed),
+        &run_budget(&parsed, None),
         &ParExec::new(parsed.jobs),
         store,
     ) {

@@ -16,7 +16,8 @@
 //! ced certify <machine.kiss2> [--latencies L] re-prove every pipeline claim
 //!                                             with the independent verifier
 //!                                             chain
-//! ced inject <machine.kiss2> [--latency P]    fault-injection validation
+//! ced inject <machine.kiss2> [--latency P]    fault-injection campaign on
+//!                                             the Fig. 3 hardware
 //! ced store  stats|gc --store DIR             inspect / garbage-collect the
 //!                                             incremental artifact store
 //! ced serve  [--addr H:P] [--store DIR]       long-lived analysis daemon:
@@ -99,7 +100,11 @@ commands:
   certify run the pipeline, then independently re-prove every claim it
           made: BFS soundness, exact-rational LP certificates, synthesis
           equivalence, checker co-simulation, greedy differential
-  inject  operational validation: inject every fault, report latencies
+  inject  fault-injection campaign on the Fig. 3 hardware: synthesize a
+          cover under faulty-trajectory semantics with exhaustive inputs,
+          drive every machine fault with the checker netlist in the loop,
+          cross-validate each run against V(i,j,k), and audit the
+          checker's own netlist
   store   inspect (`stats`, with --json for the machine-readable
           document) or garbage-collect (`gc`) an on-disk incremental
           store created with --store
@@ -148,9 +153,10 @@ common options:
                                              the store; cache summary goes to
                                              stderr)
 
-survivability options (table, suite):
+survivability options (table, suite; --deadline-ms and --ticks also
+certify and inject):
   --deadline-ms N                            wall-clock budget (per machine
-                                             for `suite`, whole run for `table`)
+                                             for `suite`, whole run otherwise)
   --ticks N                                  work-tick budget (same scopes)
   --checkpoint FILE                          write checkpoints as the run
                                              progresses
@@ -173,11 +179,8 @@ suite options:
                                              and the cert report is appended
                                              as a second JSON line
 
-inject options:
-  --campaign                                 full campaign: checker netlist in
-                                             the loop, cross-validated against
-                                             the detectability tensor, plus a
-                                             checker-netlist self-audit
+inject options (the campaign always judges the Fig. 3 hardware, so
+--semantics and --exhaustive-inputs do not apply):
   --no-checker-faults                        skip the checker self-audit
   --steps N                                  cycles per injected fault (2000)
 

@@ -21,12 +21,8 @@ pub struct Parsed {
     pub seed: u64,
     /// `--format` (default "blif").
     pub format: String,
-    /// `--campaign`: run the full cross-validating fault-injection
-    /// campaign (machine + checker faults) instead of the quick
-    /// operational check.
-    pub campaign: bool,
-    /// `--no-checker-faults`: skip the checker-netlist audit inside a
-    /// campaign.
+    /// `--no-checker-faults`: skip the checker-netlist audit in
+    /// `inject`.
     pub checker_faults: bool,
     /// `--steps` (default 2000): cycles driven per injected fault.
     pub steps: usize,
@@ -90,7 +86,6 @@ pub fn parse_machines(
     let mut latencies = vec![1usize, 2, 3];
     let mut seed = 0u64;
     let mut format = String::from("blif");
-    let mut campaign = false;
     let mut checker_faults = true;
     let mut steps = 2000usize;
     let mut quiet = false;
@@ -167,9 +162,6 @@ pub fn parse_machines(
                     .ok_or("--seed needs a number")?
                     .parse()
                     .map_err(|_| "--seed needs a number")?;
-            }
-            "--campaign" => {
-                campaign = true;
             }
             "--no-checker-faults" => {
                 checker_faults = false;
@@ -256,7 +248,6 @@ pub fn parse_machines(
         latencies,
         seed,
         format,
-        campaign,
         checker_faults,
         steps,
         quiet,

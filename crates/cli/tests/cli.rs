@@ -98,24 +98,30 @@ fn table_prints_row() {
 
 #[test]
 fn inject_succeeds_with_matching_semantics() {
+    // The campaign synthesizes its cover under the hardware semantics
+    // it judges, for time-varying fault models too.
     let path = write_machine();
-    let out = ced(&[
-        "inject",
-        path.to_str().unwrap(),
-        "--latency",
-        "2",
-        "--semantics",
-        "hardware",
-        "--exhaustive-inputs",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("guarantee held"));
-    assert!(text.contains("missed: 0"));
+    for model in ["permanent", "transient:2"] {
+        let out = ced(&[
+            "inject",
+            path.to_str().unwrap(),
+            "--latency",
+            "2",
+            "--fault-model",
+            model,
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{model}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.ends_with("campaign clean: hardware agrees with V(i,j,k) everywhere ✓\n"),
+            "{model}: {text}"
+        );
+    }
 }
 
 fn write_text(text: &str) -> tempfile::TempPath {
@@ -149,7 +155,13 @@ fn machines_too_wide_to_analyze_are_refused_but_still_synthesize() {
     ));
     let stats = ced(&["stats", wide.to_str().unwrap()]);
     assert!(stats.status.success());
-    assert!(String::from_utf8_lossy(&stats.stdout).contains("40 in / 2 states"));
+    let text = String::from_utf8_lossy(&stats.stdout);
+    assert!(text.contains("40 in / 2 states"), "{text}");
+    assert!(
+        text.contains("synthesis refuses it: partial machine too wide to complete: 40 inputs"),
+        "{text}"
+    );
+    assert!(!text.contains("will add"), "{text}");
     for (path, encoding) in [
         (&counter, "onehot"),
         (&toggle, "natural"),
@@ -159,7 +171,7 @@ fn machines_too_wide_to_analyze_are_refused_but_still_synthesize() {
         for cmd in [
             vec!["check", file],
             vec!["table", file, "--latencies", "1"],
-            vec!["inject", file, "--campaign"],
+            vec!["inject", file],
         ] {
             let args = [&cmd[..], &["--encoding", encoding]].concat();
             let out = ced(&args);
@@ -192,7 +204,7 @@ fn budget_stops_exit_cancelled_in_every_stage() {
     let path = write_text(&String::from_utf8_lossy(&gen.stdout));
     let file = path.to_str().unwrap();
     let exit = |args: &[&str], ticks| ced(&[args, &["--ticks", ticks]].concat()).status.code();
-    let inject = ["inject", file, "--campaign", "--latency", "2"];
+    let inject = ["inject", file, "--latency", "2"];
     assert_eq!(exit(&inject, "1"), Some(4));
     let certify = ["certify", file, "--latencies", "1,2", "--quiet"];
     for ticks in ["1", "10", "100", "1000", "2000", "5000"] {
@@ -256,7 +268,17 @@ fn equiv_detects_equal_and_different() {
     assert_eq!(diff.status.code(), Some(3));
     assert_eq!(
         String::from_utf8_lossy(&diff.stdout),
-        "NOT equivalent: input sequence [0] yields outputs 1 vs 0\n"
+        "NOT equivalent: input sequence [0] yields outputs 100 vs 000\n"
+    );
+    // Outputs print in KISS2 column order at full width.
+    let one_state =
+        |outputs: &str| write_text(&format!(".i 1\n.o 3\n.s 1\n.r a\n- a a {outputs}\n.e\n"));
+    let (x, y) = (one_state("110"), one_state("000"));
+    let diff = ced(&["equiv", x.to_str().unwrap(), y.to_str().unwrap()]);
+    assert_eq!(diff.status.code(), Some(3));
+    assert_eq!(
+        String::from_utf8_lossy(&diff.stdout),
+        "NOT equivalent: input sequence [0] yields outputs 110 vs 000\n"
     );
 }
 

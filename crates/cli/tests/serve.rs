@@ -192,7 +192,6 @@ fn build_case(dir: &Path, name: &str, fault_model: &'static str) -> Case {
     cli_ok(&[
         "inject",
         &file,
-        "--campaign",
         "--steps",
         INJECT_STEPS,
         "--seed",

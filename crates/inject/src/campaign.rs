@@ -35,6 +35,11 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::fmt;
 
+/// Extra cycles past the detection deadline a drive keeps going, to
+/// distinguish a late detection (latency violation) from a fault that
+/// is never caught at all.
+const GRACE: usize = 8;
+
 /// Campaign configuration. The latency bound is taken from the checker
 /// under test ([`CedHardware::latency`]), not duplicated here.
 #[derive(Debug, Clone)]
@@ -43,17 +48,8 @@ pub struct CampaignOptions {
     pub steps: usize,
     /// Base seed of the per-fault input streams.
     pub seed: u64,
-    /// Extra cycles past the detection deadline the run keeps going, to
-    /// distinguish a late detection (latency violation) from a fault
-    /// that is never caught at all.
-    pub grace: usize,
     /// Also audit the checker's own netlist (see [`crate::checker`]).
     pub checker_faults: bool,
-    /// Cap on machine faults injected (`None` = all).
-    pub max_faults: Option<usize>,
-    /// Cap on probe inputs per state in the checker audit; states with
-    /// more inputs are sampled deterministically.
-    pub probe_input_cap: usize,
     /// Temporal/spatial fault model driven by the campaign. The
     /// analytic verdict enumerates the same model's tensor, so the two
     /// verdicts stay comparable; time-varying models assert the fault
@@ -67,10 +63,7 @@ impl Default for CampaignOptions {
         CampaignOptions {
             steps: 2000,
             seed: 0xCED_CA3E,
-            grace: 8,
             checker_faults: true,
-            max_faults: None,
-            probe_input_cap: 64,
             fault_model: FaultModel::default(),
         }
     }
@@ -164,11 +157,9 @@ enum Analytic {
     Uncovered,
 }
 
-/// Runs the full campaign: every fault in `faults` is injected into
-/// `circuit` and judged by `ced` (whose [`CedHardware::latency`] is the
-/// bound), then cross-validated against a per-fault exhaustive
-/// detectability table; optionally the checker netlist itself is
-/// audited.
+/// Runs the full campaign with no budget, serially and without a
+/// store: [`run_campaign_stored`] under [`Budget::unlimited`] on
+/// [`ParExec::serial`].
 ///
 /// # Errors
 ///
@@ -177,15 +168,22 @@ enum Analytic {
 ///
 /// # Panics
 ///
-/// Panics if the checker was synthesized for a different circuit
-/// interface than `circuit`.
+/// As [`run_campaign_stored`].
 pub fn run_campaign(
     circuit: &FsmCircuit,
     ced: &CedHardware,
     faults: &[Fault],
     options: &CampaignOptions,
 ) -> Result<CampaignReport, DetectError> {
-    match run_campaign_budgeted(circuit, ced, faults, options, &Budget::unlimited()) {
+    match run_campaign_stored(
+        circuit,
+        ced,
+        faults,
+        options,
+        &Budget::unlimited(),
+        &ParExec::serial(),
+        None,
+    ) {
         Ok(report) => Ok(report),
         Err(CampaignError::Detect(e)) => Err(e),
         Err(CampaignError::Interrupted { .. }) => {
@@ -194,60 +192,28 @@ pub fn run_campaign(
     }
 }
 
-/// [`run_campaign`] under a [`Budget`]: one tick per injected fault
-/// (plus the ticks its per-fault tensor construction charges), checked
-/// at every fault boundary. An interrupted campaign returns the
-/// outcomes judged so far as a typed partial result — campaigns are
-/// restartable per fault, not resumable mid-fault.
+/// Runs the full campaign: every fault in `faults` is injected into
+/// `circuit` and judged by `ced` (whose [`CedHardware::latency`] is the
+/// bound), then cross-validated against a per-fault exhaustive
+/// detectability table; optionally the checker netlist itself is
+/// audited.
 ///
-/// # Errors
+/// **Budget.** One tick per injected fault (plus the ticks its
+/// per-fault tensor construction charges), checked at every fault
+/// boundary. An interrupted campaign returns the outcomes judged so far
+/// as a typed partial result — campaigns are restartable per fault, not
+/// resumable mid-fault.
 ///
-/// [`CampaignError::Detect`] as [`run_campaign`];
-/// [`CampaignError::Interrupted`] when the budget runs out.
+/// **Pool.** Faults are judged in parallel (each judgement — analytic
+/// verdict, per-fault tables, the checker-in-the-loop drive — is pure
+/// and carries its own deterministic seed), then folded into the
+/// campaign accumulator in fault-index order. The report is
+/// byte-identical to the serial run at every job count; an interrupt
+/// surfaces the lowest-index interrupted fault with the outcomes of
+/// every fault before it, and the pool drains (no fault above the
+/// interrupt index is started once it is known).
 ///
-/// # Panics
-///
-/// As [`run_campaign`].
-pub fn run_campaign_budgeted(
-    circuit: &FsmCircuit,
-    ced: &CedHardware,
-    faults: &[Fault],
-    options: &CampaignOptions,
-    budget: &Budget,
-) -> Result<CampaignReport, CampaignError> {
-    run_campaign_pooled(circuit, ced, faults, options, budget, &ParExec::serial())
-}
-
-/// [`run_campaign_budgeted`] on a worker pool: faults are judged in
-/// parallel (each judgement — analytic verdict, per-fault tables, the
-/// checker-in-the-loop drive — is pure and carries its own
-/// deterministic seed), then folded into the campaign accumulator in
-/// fault-index order. The report is byte-identical to the serial run
-/// at every job count; an interrupt surfaces the lowest-index
-/// interrupted fault with the outcomes of every fault before it, and
-/// the pool drains (no fault above the interrupt index is started
-/// once it is known).
-///
-/// # Errors
-///
-/// As [`run_campaign_budgeted`].
-///
-/// # Panics
-///
-/// As [`run_campaign`].
-pub fn run_campaign_pooled(
-    circuit: &FsmCircuit,
-    ced: &CedHardware,
-    faults: &[Fault],
-    options: &CampaignOptions,
-    budget: &Budget,
-    pool: &ParExec,
-) -> Result<CampaignReport, CampaignError> {
-    run_campaign_stored(circuit, ced, faults, options, budget, pool, None)
-}
-
-/// [`run_campaign_pooled`] with an optional content-addressed artifact
-/// store: each fault's analytic-verdict tensor (an exhaustive
+/// **Store.** Each fault's analytic-verdict tensor (an exhaustive
 /// single-fault detectability table) is memoized under the shared
 /// `tensor` stage, so a repeat campaign — or one that follows a
 /// pipeline run over the same circuit — skips the per-fault
@@ -258,12 +224,13 @@ pub fn run_campaign_pooled(
 ///
 /// # Errors
 ///
-/// As [`run_campaign_budgeted`].
+/// [`CampaignError::Detect`] when a per-fault tensor construction
+/// fails; [`CampaignError::Interrupted`] when the budget runs out.
 ///
 /// # Panics
 ///
-/// As [`run_campaign`].
-#[allow(clippy::too_many_arguments)] // mirrors run_campaign_pooled + store
+/// Panics if the checker was synthesized for a different circuit
+/// interface than `circuit`.
 pub fn run_campaign_stored(
     circuit: &FsmCircuit,
     ced: &CedHardware,
@@ -281,20 +248,15 @@ pub fn run_campaign_stored(
     );
     let good = TransitionTables::good(circuit);
     let valid = valid_states(&good);
-    let injected: Vec<Fault> = match options.max_faults {
-        Some(cap) => faults.iter().copied().take(cap).collect(),
-        None => faults.to_vec(),
-    };
-
     let mut machine = MachineCampaign {
-        injected: injected.len(),
+        injected: faults.len(),
         detectable: 0,
         detected_within_bound: 0,
         latency_histogram: vec![0; p + 1],
         windfall_detections: 0,
         expected_escapes: 0,
         quiet: 0,
-        outcomes: Vec::with_capacity(injected.len()),
+        outcomes: Vec::with_capacity(faults.len()),
         disagreements: Vec::new(),
     };
 
@@ -304,7 +266,7 @@ pub fn run_campaign_stored(
     // serial loop; the failure-floor drain makes the surfaced error
     // the lowest-index one, again matching the serial loop.
     let judged = pool.for_each_ordered(
-        &injected,
+        faults,
         |i, &fault| {
             budget
                 .tick(1, "inject:fault")
@@ -312,7 +274,7 @@ pub fn run_campaign_stored(
             judge_fault(circuit, ced, &good, &valid, p, options, i, fault, store)
                 .map_err(JudgeError::Detect)
         },
-        |i, judgement| apply_judgement(&mut machine, p, injected[i], judgement),
+        |i, judgement| apply_judgement(&mut machine, p, faults[i], judgement),
     );
     match judged {
         Ok(()) => {}
@@ -568,7 +530,7 @@ fn drive_with_checker(
                 };
                 return (raw, mismatch);
             }
-            if cycle >= start + p - 1 + options.grace {
+            if cycle >= start + p - 1 + GRACE {
                 return (RawOutcome::Missed { at_cycle: start }, mismatch);
             }
         }
@@ -644,27 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn max_faults_caps_the_campaign() {
-        let c = circuit();
-        let cover = ParityCover::singletons(c.total_bits());
-        let ced = synthesize_ced(&c, &cover, 1, &MinimizeOptions::default());
-        let faults = collapsed_faults(c.netlist());
-        let report = run_campaign(
-            &c,
-            &ced,
-            &faults,
-            &CampaignOptions {
-                max_faults: Some(3),
-                checker_faults: false,
-                ..CampaignOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.machine.injected, 3);
-        assert!(report.checker.is_none());
-    }
-
-    #[test]
     fn exhausted_budget_returns_typed_partial_campaign() {
         let c = circuit();
         let cover = ParityCover::singletons(c.total_bits());
@@ -672,8 +613,16 @@ mod tests {
         let faults = collapsed_faults(c.netlist());
         // Enough budget for exactly 2 fault boundaries.
         let budget = Budget::new().with_tick_cap(3);
-        let err = run_campaign_budgeted(&c, &ced, &faults, &CampaignOptions::default(), &budget)
-            .unwrap_err();
+        let err = run_campaign_stored(
+            &c,
+            &ced,
+            &faults,
+            &CampaignOptions::default(),
+            &budget,
+            &ParExec::serial(),
+            None,
+        )
+        .unwrap_err();
         match err {
             CampaignError::Interrupted {
                 interrupted,
@@ -695,8 +644,16 @@ mod tests {
         let faults = collapsed_faults(c.netlist());
         let budget = Budget::new();
         budget.cancel_token().cancel();
-        let err = run_campaign_budgeted(&c, &ced, &faults, &CampaignOptions::default(), &budget)
-            .unwrap_err();
+        let err = run_campaign_stored(
+            &c,
+            &ced,
+            &faults,
+            &CampaignOptions::default(),
+            &budget,
+            &ParExec::serial(),
+            None,
+        )
+        .unwrap_err();
         match err {
             CampaignError::Interrupted {
                 interrupted,
@@ -707,24 +664,6 @@ mod tests {
             }
             other => panic!("{other}"),
         }
-    }
-
-    #[test]
-    fn unlimited_budget_matches_plain_campaign() {
-        let c = circuit();
-        let cover = ParityCover::singletons(c.total_bits());
-        let ced = synthesize_ced(&c, &cover, 1, &MinimizeOptions::default());
-        let faults = collapsed_faults(c.netlist());
-        let opts = CampaignOptions {
-            max_faults: Some(4),
-            checker_faults: false,
-            ..CampaignOptions::default()
-        };
-        let plain = run_campaign(&c, &ced, &faults, &opts).unwrap();
-        let budgeted =
-            run_campaign_budgeted(&c, &ced, &faults, &opts, &Budget::unlimited()).unwrap();
-        assert_eq!(plain.machine.outcomes, budgeted.machine.outcomes);
-        assert_eq!(plain.render(), budgeted.render());
     }
 
     #[test]

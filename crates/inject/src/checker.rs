@@ -29,6 +29,10 @@ use ced_sim::tables::TransitionTables;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+/// Most probe inputs per state; states with more inputs are sampled
+/// deterministically.
+const PROBE_INPUT_CAP: usize = 64;
+
 /// Classification of one checker-internal stuck-at fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckerFaultClass {
@@ -72,10 +76,10 @@ struct ProbeBatch {
 }
 
 /// Audits every collapsed stuck-at fault of the checker netlist against
-/// a deterministic probe set: all fault-free-reachable states, up to
-/// [`CampaignOptions::probe_input_cap`] inputs per state (sampled
-/// deterministically beyond the cap), each with the clean response and
-/// every single-bit corruption inside the monitored mask union.
+/// a deterministic probe set: all fault-free-reachable states, up to 64
+/// inputs per state (sampled deterministically from `options.seed`
+/// beyond the cap), each with the clean response and every single-bit
+/// corruption inside the monitored mask union.
 pub fn audit_checker(
     circuit: &FsmCircuit,
     ced: &CedHardware,
@@ -143,10 +147,10 @@ fn build_probes(
     let mut probes: Vec<(u64, u64, u64, bool)> = Vec::new();
     for c in good.reachable_codes() {
         let total_inputs = 1u64 << r;
-        let sampled: Vec<u64> = if total_inputs as usize <= options.probe_input_cap {
+        let sampled: Vec<u64> = if total_inputs as usize <= PROBE_INPUT_CAP {
             (0..total_inputs).collect()
         } else {
-            (0..options.probe_input_cap)
+            (0..PROBE_INPUT_CAP)
                 .map(|_| rng.next_u64() & (total_inputs - 1))
                 .collect()
         };

@@ -54,8 +54,7 @@ pub mod checker;
 pub mod report;
 
 pub use campaign::{
-    run_campaign, run_campaign_budgeted, run_campaign_pooled, run_campaign_stored, CampaignError,
-    CampaignOptions, MachineFaultOutcome,
+    run_campaign, run_campaign_stored, CampaignError, CampaignOptions, MachineFaultOutcome,
 };
 pub use checker::{audit_checker, CheckerCampaign, CheckerFaultClass};
 pub use report::{CampaignReport, Disagreement, MachineCampaign};

@@ -18,9 +18,9 @@
 //! * [`OpKind::Certify`] — [`certify`]: `ced certify` and `ced suite
 //!   --certify` render its [`MachineCertification`]; the payload is the
 //!   `ced-cert-report/1` JSON that `ced certify --out` writes;
-//! * [`OpKind::Inject`] — [`inject`]: `ced inject --campaign` prints
-//!   its [`Injection`]; the payload is the campaign report text that
-//!   `ced inject --campaign --out` writes;
+//! * [`OpKind::Inject`] — [`inject`]: `ced inject` prints its
+//!   [`Injection`]; the payload is the campaign report text that
+//!   `ced inject --out` writes;
 //! * [`OpKind::Table`] — [`table_json`] for the daemon only: `ced
 //!   table` makes the same two calls ([`run_circuit_controlled`], then
 //!   [`report_to_json`] for `--out`) itself, to add checkpoint/resume.
@@ -498,7 +498,7 @@ pub struct Injection {
     pub report: CampaignReport,
 }
 
-/// `ced inject --campaign` as a value: cover synthesis under hardware
+/// `ced inject` as a value: cover synthesis under hardware
 /// semantics, then the full cross-validating campaign.
 ///
 /// # Errors
@@ -548,7 +548,6 @@ pub fn inject(
             seed: request.seed ^ 0xCA3E,
             checker_faults: request.checker_faults,
             fault_model: options.fault_model,
-            ..CampaignOptions::default()
         },
         budget,
         pool,

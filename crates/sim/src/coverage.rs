@@ -7,6 +7,10 @@
 //! comparator), and confirm the comparator fires within `p` cycles of
 //! the first error. The integration tests use this to validate the
 //! whole pipeline — the paper's actual promise.
+//!
+//! These drives are reference oracles for tests and experiments; the
+//! product's fault injection is the `ced-inject` campaign, which puts
+//! the synthesized checker netlist in the loop.
 
 use crate::detect::Semantics;
 use crate::fault::Fault;
@@ -103,48 +107,6 @@ pub fn simulate_fault_detection(
     // window (guarantee neither met nor violated yet — count as no
     // observation).
     SimOutcome::NoErrorObserved
-}
-
-/// Fraction of faults in `faults` whose first error is detected within
-/// `latency` under the given masks across `steps`-cycle random runs.
-/// Untestable faults (no error observed) are excluded from the
-/// denominator.
-pub fn measured_coverage(
-    circuit: &FsmCircuit,
-    faults: &[Fault],
-    masks: &[u64],
-    latency: usize,
-    steps: usize,
-    seed: u64,
-    semantics: Semantics,
-) -> f64 {
-    let mut testable = 0usize;
-    let mut detected = 0usize;
-    for (i, &f) in faults.iter().enumerate() {
-        match simulate_fault_detection(
-            circuit,
-            f,
-            masks,
-            latency,
-            steps,
-            seed ^ (i as u64),
-            semantics,
-        ) {
-            SimOutcome::NoErrorObserved => {}
-            SimOutcome::DetectedInTime { .. } => {
-                testable += 1;
-                detected += 1;
-            }
-            SimOutcome::Missed { .. } => {
-                testable += 1;
-            }
-        }
-    }
-    if testable == 0 {
-        1.0
-    } else {
-        detected as f64 / testable as f64
-    }
 }
 
 /// Outcome of a transient-fault run (see
@@ -287,17 +249,6 @@ mod tests {
             }
         }
         assert!(missed_any, "no testable fault missed without monitors?");
-    }
-
-    #[test]
-    fn coverage_metric_bounds() {
-        let c = circuit();
-        let faults = collapsed_faults(c.netlist());
-        let full: Vec<u64> = (0..c.total_bits()).map(|b| 1u64 << b).collect();
-        let s = Semantics::FaultyTrajectory;
-        assert_eq!(measured_coverage(&c, &faults, &full, 1, 300, 1, s), 1.0);
-        let none = measured_coverage(&c, &faults, &[], 1, 300, 1, s);
-        assert!(none < 1.0);
     }
 
     #[test]

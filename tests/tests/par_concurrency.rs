@@ -42,7 +42,7 @@ fn cancel_mid_campaign_stops_all_workers_with_the_hard_error() {
     use ced_core::synthesize_ced;
     use ced_fsm::encoded::EncodedFsm;
     use ced_fsm::encoding::{assign, EncodingStrategy};
-    use ced_inject::{run_campaign_pooled, CampaignError, CampaignOptions};
+    use ced_inject::{run_campaign_stored, CampaignError, CampaignOptions};
     use ced_sim::fault::collapsed_faults;
 
     let fsm = bench::sequence_detector();
@@ -55,13 +55,14 @@ fn cancel_mid_campaign_stops_all_workers_with_the_hard_error() {
     let faults = collapsed_faults(circuit.netlist());
     assert!(faults.len() > 4, "campaign too small to interrupt");
 
-    let clean = run_campaign_pooled(
+    let clean = run_campaign_stored(
         &circuit,
         &ced,
         &faults,
         &CampaignOptions::default(),
         &Budget::unlimited(),
         &ParExec::new(4),
+        None,
     )
     .expect("uninterrupted campaign completes");
 
@@ -76,13 +77,14 @@ fn cancel_mid_campaign_stops_all_workers_with_the_hard_error() {
                 trigger.cancel();
             }
         });
-    let err = run_campaign_pooled(
+    let err = run_campaign_stored(
         &circuit,
         &ced,
         &faults,
         &CampaignOptions::default(),
         &budget,
         &ParExec::new(4),
+        None,
     )
     .expect_err("a cancelled campaign must not return Ok");
     match err {

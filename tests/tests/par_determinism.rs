@@ -137,13 +137,14 @@ fn cert_report_identical_across_job_counts() {
         let fsm = scaled(name);
         let report = run_circuit(&fsm, &LATENCIES, &options, &lib).expect("pipeline");
         let certify = |pool: &ParExec| {
-            let cert = ced_cert::certify_report_pooled(
+            let cert = ced_cert::certify_report_stored(
                 &fsm,
                 &report,
                 &options,
                 &ced_cert::CertifyOptions::default(),
                 &Budget::unlimited(),
                 pool,
+                None,
             )
             .expect("certification ran");
             ced_cert::report::cert_report_json(&[cert]).render()
