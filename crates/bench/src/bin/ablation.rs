@@ -16,10 +16,10 @@
 use ced_bench::HarnessArgs;
 use ced_core::exact::exact_minimum_cover;
 use ced_core::greedy::{greedy_cover, GreedyOptions};
-use ced_core::pipeline::{build_input_model, fault_list, prepare_machine, PipelineOptions};
+use ced_core::pipeline::{detect_options, fault_list, prepare_machine, PipelineOptions};
 use ced_core::relax::LpForm;
 use ced_core::search::{minimize_parity_functions, CedOptions};
-use ced_sim::detect::{DetectOptions, DetectabilityTable};
+use ced_sim::detect::DetectabilityTable;
 
 fn main() {
     let mut args = HarnessArgs::parse();
@@ -42,18 +42,12 @@ fn main() {
                 continue;
             }
         };
-        let input_model =
-            build_input_model(encoded.fsm(), encoded.encoding(), options.input_granularity);
         let faults = fault_list(&circuit, &options);
         for &p in &args.latencies {
             let built = DetectabilityTable::build(
                 &circuit,
                 &faults,
-                &DetectOptions {
-                    latency: p,
-                    input_model: input_model.clone(),
-                    ..DetectOptions::default()
-                },
+                &detect_options(&encoded, &options, p),
             );
             let table = match built {
                 Ok((t, _)) => t,

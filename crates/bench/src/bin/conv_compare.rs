@@ -17,12 +17,12 @@
 
 use ced_bench::HarnessArgs;
 use ced_core::convolutional::{simulate_convolutional_detection, ConvOutcome, ConvolutionalCed};
-use ced_core::pipeline::{build_input_model, fault_list, prepare_machine, PipelineOptions};
+use ced_core::pipeline::{detect_options, fault_list, prepare_machine, PipelineOptions};
 use ced_core::search::{minimize_parity_functions, CedOptions};
 use ced_core::synthesize_ced;
 use ced_logic::gate::CellLibrary;
 use ced_logic::MinimizeOptions;
-use ced_sim::detect::{DetectOptions, DetectabilityTable};
+use ced_sim::detect::DetectabilityTable;
 
 fn main() {
     let mut args = HarnessArgs::parse();
@@ -41,18 +41,10 @@ fn main() {
         let Ok((encoded, circuit)) = prepare_machine(&fsm, &options) else {
             continue;
         };
-        let input_model =
-            build_input_model(encoded.fsm(), encoded.encoding(), options.input_granularity);
         let faults = fault_list(&circuit, &options);
-        let Ok((table, _)) = DetectabilityTable::build(
-            &circuit,
-            &faults,
-            &DetectOptions {
-                latency: 2,
-                input_model,
-                ..DetectOptions::default()
-            },
-        ) else {
+        let Ok((table, _)) =
+            DetectabilityTable::build(&circuit, &faults, &detect_options(&encoded, &options, 2))
+        else {
             eprintln!("{}: table overflow", spec.name);
             continue;
         };

@@ -6,10 +6,8 @@
 //! `cargo run -p ced-bench --release --bin probe -- --quick --circuit cse`
 
 use ced_bench::HarnessArgs;
-use ced_core::pipeline::{
-    build_input_model, fault_list, prepare_machine, InputGranularity, PipelineOptions,
-};
-use ced_sim::detect::{DetectOptions, DetectabilityTable, Semantics};
+use ced_core::pipeline::{detect_options, fault_list, prepare_machine, PipelineOptions};
+use ced_sim::detect::DetectabilityTable;
 use std::collections::HashSet;
 
 fn main() {
@@ -18,23 +16,10 @@ fn main() {
     for spec in args.specs() {
         let fsm = spec.build();
         let (encoded, circuit) = prepare_machine(&fsm, &options).expect("prepare");
-        let model = build_input_model(
-            encoded.fsm(),
-            encoded.encoding(),
-            InputGranularity::TransitionCubes,
-        );
         let faults = fault_list(&circuit, &options);
-        let (t1, stats) = DetectabilityTable::build(
-            &circuit,
-            &faults,
-            &DetectOptions {
-                latency: 1,
-                semantics: Semantics::Lockstep,
-                input_model: model,
-                ..DetectOptions::default()
-            },
-        )
-        .expect("fits");
+        let (t1, stats) =
+            DetectabilityTable::build(&circuit, &faults, &detect_options(&encoded, &options, 1))
+                .expect("fits");
         let n = circuit.total_bits();
         let mut weights = vec![0usize; n + 1];
         let mut bits_seen: HashSet<u32> = HashSet::new();

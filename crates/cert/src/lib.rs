@@ -38,12 +38,12 @@ pub mod lp_check;
 pub mod report;
 pub mod soundness;
 
-use ced_core::pipeline::{build_input_model, fault_list, prepare_machine_stored};
+use ced_core::pipeline::{detect_options, fault_list, prepare_machine_stored};
 use ced_core::{CircuitReport, PipelineOptions};
 use ced_fsm::machine::Fsm;
 use ced_par::ParExec;
 use ced_runtime::{Budget, Interrupted};
-use ced_sim::detect::{BuildControl, DetectError, DetectOptions, DetectabilityTable};
+use ced_sim::detect::{BuildControl, DetectError, DetectabilityTable};
 use ced_sim::fault::Fault;
 use ced_store::Store;
 use std::fmt;
@@ -449,11 +449,6 @@ pub fn certify_report_stored(
 ) -> Result<MachineCertification, CertError> {
     let (encoded, circuit) = prepare_machine_stored(fsm, pipeline, store)
         .map_err(|e| CertError::Machine(e.to_string()))?;
-    let input_model = build_input_model(
-        encoded.fsm(),
-        encoded.encoding(),
-        pipeline.input_granularity,
-    );
     let faults = fault_list(&circuit, pipeline);
 
     let synthesis = hardware::verify_synthesis(fsm, pipeline, &circuit, budget)?;
@@ -461,23 +456,13 @@ pub fn certify_report_stored(
     let latencies: Vec<usize> = report.latencies.iter().map(|l| l.latency).collect();
     let mut chains = Vec::with_capacity(latencies.len());
     if !latencies.is_empty() {
-        let max_rows = if pipeline.max_rows == 0 {
-            2_000_000
-        } else {
-            pipeline.max_rows
-        };
         let p_max = latencies.iter().copied().max().unwrap_or(1);
+        let detect = detect_options(&encoded, pipeline, p_max);
+        let input_model = &detect.input_model;
         let tables = DetectabilityTable::build_many_controlled(
             &circuit,
             &faults,
-            &DetectOptions {
-                latency: p_max,
-                max_rows,
-                semantics: pipeline.semantics,
-                input_model: input_model.clone(),
-                reduce: true,
-                fault_model: pipeline.fault_model,
-            },
+            &detect,
             &latencies,
             BuildControl {
                 pool: Some(pool),
@@ -505,7 +490,7 @@ pub fn certify_report_stored(
                     &circuit,
                     &faults,
                     pipeline.fault_model,
-                    &input_model,
+                    input_model,
                     pipeline.semantics,
                     masks,
                     lr.latency,
@@ -517,7 +502,7 @@ pub fn certify_report_stored(
                     &lr.cover,
                     lr.latency,
                     &pipeline.minimize,
-                    &input_model,
+                    input_model,
                     options.max_checker_patterns,
                     options.seed,
                     budget,

@@ -766,16 +766,21 @@ pub fn equiv(args: &[String]) -> CliResult {
             output_a,
             output_b,
         } => {
-            // Bit k of an output word is KISS2 output column k.
-            let columns = |word: u64| -> String {
-                (0..circuit_a.num_outputs())
+            // Bit k of an input or output word is KISS2 column k.
+            let columns = |word: u64, width: usize| -> String {
+                (0..width)
                     .map(|k| if word >> k & 1 == 1 { '1' } else { '0' })
                     .collect()
             };
+            let inputs: Vec<String> = counterexample
+                .iter()
+                .map(|&word| columns(word, circuit_a.num_inputs()))
+                .collect();
             println!(
-                "NOT equivalent: input sequence {counterexample:?} yields outputs {} vs {}",
-                columns(output_a),
-                columns(output_b)
+                "NOT equivalent: input sequence [{}] yields outputs {} vs {}",
+                inputs.join(", "),
+                columns(output_a, circuit_a.num_outputs()),
+                columns(output_b, circuit_a.num_outputs())
             );
             eprintln!("[ced] equiv: machines differ");
             Ok(ExitStatus::Refuted)

@@ -139,10 +139,11 @@ common options:
                                              checkpoint and store key
   --seed N                                   rounding seed (default 0)
   --format blif|verilog                      export format (default blif)
-  --jobs N                                   worker threads for table, suite,
-                                             certify and inject (default:
-                                             available parallelism; results
-                                             are byte-identical at every N)
+  --jobs N                                   worker threads for check, table,
+                                             suite, certify and inject
+                                             (default: available parallelism;
+                                             results are byte-identical at
+                                             every N)
   --store DIR                                content-addressed incremental
                                              store for check, table, suite,
                                              certify and inject: memoizes
@@ -154,7 +155,7 @@ common options:
                                              stderr)
 
 survivability options (table, suite; --deadline-ms and --ticks also
-certify and inject):
+check, certify and inject):
   --deadline-ms N                            wall-clock budget (per machine
                                              for `suite`, whole run otherwise)
   --ticks N                                  work-tick budget (same scopes)

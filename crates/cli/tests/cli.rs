@@ -206,6 +206,20 @@ fn budget_stops_exit_cancelled_in_every_stage() {
     let exit = |args: &[&str], ticks| ced(&[args, &["--ticks", ticks]].concat()).status.code();
     let inject = ["inject", file, "--latency", "2"];
     assert_eq!(exit(&inject, "1"), Some(4));
+    // Only `table` can resume (it has `--checkpoint`), so only its
+    // interrupt carries the `[resumable]` tag.
+    let stderr = |args: &[&str]| {
+        let out = ced(&[args, &["--ticks", "1"]].concat());
+        assert_eq!(out.status.code(), Some(4), "{args:?}");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    for args in [&inject, &["check", file, "--latency", "2"]] {
+        let err = stderr(args);
+        assert!(err.contains("interrupted"), "{args:?}: {err}");
+        assert!(!err.contains("[resumable]"), "{args:?}: {err}");
+    }
+    let err = stderr(&["table", file, "--latencies", "2", "--quiet"]);
+    assert!(err.contains("[resumable]"), "table: {err}");
     let certify = ["certify", file, "--latencies", "1,2", "--quiet"];
     for ticks in ["1", "10", "100", "1000", "2000", "5000"] {
         let code = exit(&certify, ticks);
@@ -279,6 +293,15 @@ fn equiv_detects_equal_and_different() {
     assert_eq!(
         String::from_utf8_lossy(&diff.stdout),
         "NOT equivalent: input sequence [0] yields outputs 110 vs 000\n"
+    );
+    // Inputs print in KISS2 column order at full width too.
+    let x = write_text(".i 3\n.o 1\n.s 1\n.r a\n--- a a 0\n.e\n");
+    let y = write_text(".i 3\n.o 1\n.s 1\n.r a\n0-- a a 0\n10- a a 0\n111 a a 0\n110 a a 1\n.e\n");
+    let diff = ced(&["equiv", x.to_str().unwrap(), y.to_str().unwrap()]);
+    assert_eq!(diff.status.code(), Some(3));
+    assert_eq!(
+        String::from_utf8_lossy(&diff.stdout),
+        "NOT equivalent: input sequence [110] yields outputs 0 vs 1\n"
     );
 }
 

@@ -469,17 +469,18 @@ pub const SYNTH_STAGE: &str = "synth";
 
 /// Artifact-store stage name for per-latency search results (cover +
 /// CED cost); keyed per latency bound so a prior sweep serves any
-/// subset of its bounds. Per-machine, unlike [`COVER_STAGE`], because
-/// the stored [`LatencyResult`] embeds circuit-derived CED costs.
+/// subset of its bounds, and `check`, a one-bound run, shares them.
+/// Per-machine, unlike [`COVER_STAGE`], because the stored
+/// [`LatencyResult`] embeds circuit-derived CED costs.
 pub const SEARCH_STAGE: &str = "search";
 
 /// Artifact-store stage name for circuit-*independent* parity-cover
 /// search results ([`minimize_parity_functions_stored`]), keyed by the
 /// detectability-table bytes plus the search options alone. Two
 /// machines (or two edits of one machine) whose tables come out
-/// byte-identical share the entry — the stage that makes an
-/// incremental `ced check --baseline` skip Algorithm 1 outright when
-/// an edit turns out not to change the table.
+/// byte-identical share the entry. No product path reads or writes it
+/// any more (`check` memoizes through [`SEARCH_STAGE`]); it stays for
+/// the end-to-end benchmark's check replay.
 pub const COVER_STAGE: &str = "cover";
 
 fn write_search_outcome(o: &SearchOutcome, w: &mut ByteWriter) {
@@ -524,6 +525,10 @@ fn read_search_outcome(r: &mut ByteReader<'_>) -> Result<SearchOutcome, Checkpoi
 }
 
 /// [`minimize_parity_functions`] with [`COVER_STAGE`] memoization.
+///
+/// The product no longer calls this: `check` runs the pipeline's
+/// per-bound search ([`run_prepared`]) and its [`SEARCH_STAGE`] memo.
+/// It stays because the end-to-end benchmark's check replay calls it.
 ///
 /// The search is deterministic given the table and options (the
 /// rounding RNG is seeded from `ced.seed`), so a hit is byte-identical
@@ -1042,19 +1047,60 @@ pub fn run_circuit_controlled(
     latencies: &[usize],
     options: &PipelineOptions,
     library: &CellLibrary,
-    mut control: PipelineControl<'_>,
+    control: PipelineControl<'_>,
 ) -> Result<CircuitReport, PipelineError> {
     let (encoded, circuit) = prepare_machine_stored(fsm, options, control.store)?;
-    let input_model =
-        build_input_model(encoded.fsm(), encoded.encoding(), options.input_granularity);
-    let faults = fault_list(&circuit, options);
+    run_prepared(&encoded, &circuit, latencies, options, library, control)
+}
+
+/// The tensor options the pipeline builds `V(i,j,k)` under at bound
+/// `latency`: the input model of `options.input_granularity` over the
+/// encoded machine, the semantics and fault model of `options`, online
+/// dominance reduction, and `options.max_rows` as the row cap (0 means
+/// the default cap of two million rows).
+pub fn detect_options(
+    encoded: &EncodedFsm,
+    options: &PipelineOptions,
+    latency: usize,
+) -> DetectOptions {
+    DetectOptions {
+        latency,
+        max_rows: if options.max_rows == 0 {
+            2_000_000
+        } else {
+            options.max_rows
+        },
+        semantics: options.semantics,
+        input_model: build_input_model(
+            encoded.fsm(),
+            encoded.encoding(),
+            options.input_granularity,
+        ),
+        reduce: true,
+        fault_model: options.fault_model,
+    }
+}
+
+/// [`run_circuit_controlled`] past machine preparation: the tensor,
+/// search and checker stages over a machine [`prepare_machine_stored`]
+/// already completed, encoded and synthesized. Callers that need the
+/// circuit themselves (a baseline-seeded `check` diffs it against the
+/// baseline's) prepare once and call this.
+///
+/// # Errors
+///
+/// As [`run_circuit_controlled`], without the preparation failures.
+pub fn run_prepared(
+    encoded: &EncodedFsm,
+    circuit: &FsmCircuit,
+    latencies: &[usize],
+    options: &PipelineOptions,
+    library: &CellLibrary,
+    mut control: PipelineControl<'_>,
+) -> Result<CircuitReport, PipelineError> {
+    let faults = fault_list(circuit, options);
     let p_max = latencies.iter().copied().max().unwrap_or(1);
-    let max_rows = if options.max_rows == 0 {
-        2_000_000
-    } else {
-        options.max_rows
-    };
-    let fingerprint = pipeline_fingerprint(&circuit, &faults, options, latencies);
+    let fingerprint = pipeline_fingerprint(circuit, &faults, options, latencies);
 
     let mut resume_build: Option<BuildCheckpoint> = None;
     let mut tables: Vec<(DetectabilityTable, DetectStats)> = Vec::new();
@@ -1099,16 +1145,9 @@ pub fn run_circuit_controlled(
                 }
             };
             DetectabilityTable::build_many_controlled(
-                &circuit,
+                circuit,
                 &faults,
-                &DetectOptions {
-                    latency: p_max,
-                    max_rows,
-                    semantics: options.semantics,
-                    input_model,
-                    reduce: true,
-                    fault_model: options.fault_model,
-                },
+                &detect_options(encoded, options, p_max),
                 latencies,
                 BuildControl {
                     budget: control.budget,
@@ -1162,7 +1201,7 @@ pub fn run_circuit_controlled(
     // bound, so each latency gets its own store key.
     let search_base: Option<Vec<u8>> = control.store.map(|_| {
         let mut w = ByteWriter::new();
-        write_circuit(&circuit, &mut w);
+        write_circuit(circuit, &mut w);
         w.str(&format!("{:?}", options.minimize));
         let ced = &options.ced;
         w.usize(ced.iterations);
@@ -1260,7 +1299,7 @@ pub fn run_circuit_controlled(
         };
         incumbent = Some(outcome.cover.clone());
         debug_assert!(tables[i].0.all_covered(&outcome.cover.masks));
-        let ced = synthesize_ced(&circuit, &outcome.cover, p, &options.minimize);
+        let ced = synthesize_ced(circuit, &outcome.cover, p, &options.minimize);
         latency_results.push(LatencyResult {
             latency: p,
             erroneous_cases: tables[i].0.len(),
@@ -1305,7 +1344,7 @@ pub fn run_circuit_controlled(
         original_gates: circuit.gate_count(),
         original_cost: circuit.sequential_area(library),
         detect_stats: stats,
-        duplication: duplication_cost(&circuit, library),
+        duplication: duplication_cost(circuit, library),
         latencies: latency_results,
     })
 }

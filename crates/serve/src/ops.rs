@@ -12,9 +12,10 @@
 //!
 //! What each front end shares:
 //!
-//! * [`OpKind::Check`] — [`check_text_with_baseline`]: `ced check`
-//!   prints its text, the daemon returns it as the payload (and
-//!   `analyze-delta` adds the [`DeltaSummary`] line);
+//! * [`OpKind::Check`] — [`check_text_with_baseline`], a one-bound
+//!   `table` ([`run_prepared`]) rendered as text: `ced check` prints
+//!   it, the daemon returns it as the payload (and `analyze-delta`
+//!   adds the [`DeltaSummary`] line);
 //! * [`OpKind::Certify`] — [`certify`]: `ced certify` and `ced suite
 //!   --certify` render its [`MachineCertification`]; the payload is the
 //!   `ced-cert-report/1` JSON that `ced certify --out` writes;
@@ -31,12 +32,12 @@
 use ced_cert::report::cert_report_json;
 use ced_cert::MachineCertification;
 use ced_core::pipeline::{
-    build_input_model, delta_seed, fault_list, machine_delta, minimize_parity_functions_stored,
-    prepare_machine_stored, run_circuit_controlled, MachineDelta, PipelineControl, PipelineError,
-    PipelineOptions,
+    delta_seed, detect_options, fault_list, machine_delta, prepare_machine_stored,
+    run_circuit_controlled, run_prepared, InputGranularity, MachineDelta, PipelineControl,
+    PipelineError, PipelineOptions,
 };
 use ced_core::report_to_json;
-use ced_core::search::{minimize_parity_functions, SearchOutcome};
+use ced_core::search::{minimize_interruptible, SearchOutcome};
 use ced_core::synthesize_ced;
 use ced_fsm::machine::Fsm;
 use ced_inject::{run_campaign_stored, CampaignError, CampaignOptions, CampaignReport};
@@ -44,10 +45,7 @@ use ced_logic::gate::CellLibrary;
 use ced_par::ParExec;
 use ced_runtime::{Budget, Interrupted};
 use ced_sim::cone::cone_keys;
-use ced_sim::detect::{
-    BuildControl, DetectError, DetectOptions, DetectStats, DetectabilityTable, InputModel,
-    Semantics,
-};
+use ced_sim::detect::{BuildControl, DetectError, DetectStats, DetectabilityTable, Semantics};
 use ced_store::Store;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -223,10 +221,20 @@ impl std::fmt::Display for OpError {
 
 impl std::error::Error for OpError {}
 
+impl OpError {
+    /// A budget stop. No caller of this module can resume one (neither
+    /// the one-shot commands nor the daemon keep checkpoints), so the
+    /// stage's `[resumable]` tag is dropped.
+    fn interrupted(mut interrupted: Interrupted) -> OpError {
+        interrupted.resumable = false;
+        OpError::Interrupted(interrupted)
+    }
+}
+
 impl From<PipelineError> for OpError {
     fn from(e: PipelineError) -> OpError {
         match e {
-            PipelineError::Interrupted(i) => OpError::Interrupted(i.interrupted),
+            PipelineError::Interrupted(i) => OpError::interrupted(i.interrupted),
             // The requested machine/encoding pair cannot be analyzed at
             // all: the client's mistake, refused before any allocation.
             PipelineError::Detect(e @ DetectError::MachineTooWide { .. }) => {
@@ -300,10 +308,11 @@ pub fn execute(
     }
 }
 
-/// `ced check` as a value: Algorithm 1 at one bound, rendered exactly
-/// as the CLI prints it, with an optional baseline machine seeding
-/// incremental re-analysis. The text is byte-identical to the
-/// baseline-free call by construction: the baseline only adds a
+/// `ced check` as a value: a one-bound `table` (the same
+/// [`run_prepared`] call, under the same budget, pool and store),
+/// rendered exactly as the CLI prints it, with an optional baseline
+/// machine seeding incremental re-analysis. The text is byte-identical
+/// to the baseline-free call by construction: the baseline only adds a
 /// [`ced_core::pipeline::delta_seed`] to the fragment build
 /// (cross-machine promotion of clean cones) and computes the
 /// [`DeltaSummary`] — it never enters any fingerprint or the rendered
@@ -320,19 +329,8 @@ pub fn check_text_with_baseline(
     pool: &ParExec,
     store: Option<&Store>,
 ) -> Result<(String, Option<DeltaSummary>), OpError> {
-    let lib = CellLibrary::new();
     let options = &request.options;
     let (encoded, circuit) = prepare_machine_stored(fsm, options, store)?;
-    let input_model =
-        build_input_model(encoded.fsm(), encoded.encoding(), options.input_granularity);
-    let faults = fault_list(&circuit, options);
-    let detect_options = DetectOptions {
-        latency: request.latency,
-        semantics: options.semantics,
-        input_model,
-        fault_model: options.fault_model,
-        ..DetectOptions::default()
-    };
 
     let mut delta = None;
     let mut summary = None;
@@ -342,7 +340,7 @@ pub fn check_text_with_baseline(
             &base_encoded,
             &base_circuit,
             &circuit,
-            &detect_options,
+            &detect_options(&encoded, options, request.latency),
             options.input_granularity,
         );
         let base_faults = fault_list(&base_circuit, options);
@@ -350,6 +348,7 @@ pub fn check_text_with_baseline(
             cone_keys(base_circuit.netlist(), &base_faults, options.fault_model)
                 .into_iter()
                 .collect();
+        let faults = fault_list(&circuit, options);
         let new_keys = cone_keys(circuit.netlist(), &faults, options.fault_model);
         summary = Some(DeltaSummary {
             delta: machine_delta(base, fsm),
@@ -361,55 +360,55 @@ pub fn check_text_with_baseline(
         delta = seed;
     }
 
-    let (table, dstats) = DetectabilityTable::build_many_controlled(
+    let report = run_prepared(
+        &encoded,
         &circuit,
-        &faults,
-        &detect_options,
         &[request.latency],
-        BuildControl {
-            store,
+        options,
+        &CellLibrary::new(),
+        PipelineControl {
             pool: Some(pool),
+            store,
             delta,
-            ..BuildControl::new(budget)
+            ..PipelineControl::new(budget)
         },
-    )
-    .map_err(op_error_from_detect)?
-    .pop()
-    .expect("one latency requested");
+    )?;
+    let stats = &report.detect_stats;
+    let result = &report.latencies[0];
 
     let mut out = String::new();
     let _ =
         writeln!(
         out,
         "fault model ({}): {} faults ({} untestable), {} activations, {} minimal erroneous cases",
-        options.fault_model, dstats.faults, dstats.untestable_faults, dstats.activations,
-        table.len()
+        options.fault_model, stats.faults, stats.untestable_faults, stats.activations,
+        result.erroneous_cases
     );
-    let outcome = minimize_parity_functions_stored(&table, &options.ced, store);
     let _ = writeln!(
         out,
         "Algorithm 1 (p = {}): q = {} parity trees ({} LP solves, {} rounding attempts)",
-        request.latency, outcome.q, outcome.lp_solves, outcome.rounding_attempts
+        result.latency,
+        result.cover.len(),
+        result.lp_solves,
+        result.rounding_attempts
     );
-    if !outcome.degradation.is_empty() {
-        let _ = writeln!(out, "solved by {} after degradation:", outcome.method);
-        for event in &outcome.degradation {
+    if !result.degradation.is_empty() {
+        let _ = writeln!(out, "solved by {} after degradation:", result.method);
+        for event in &result.degradation {
             let _ = writeln!(out, "  {event}");
         }
     }
-    for (i, &mask) in outcome.cover.masks.iter().enumerate() {
+    for (i, &mask) in result.cover.masks.iter().enumerate() {
         let taps: Vec<String> = (0..circuit.total_bits())
             .filter(|j| (mask >> j) & 1 == 1)
             .map(|j| format!("b{}", j + 1))
             .collect();
         let _ = writeln!(out, "  tree {}: {}", i + 1, taps.join(" ⊕ "));
     }
-    let ced = synthesize_ced(&circuit, &outcome.cover, request.latency, &options.minimize);
-    let cost = ced.cost(&lib);
     let _ = writeln!(
         out,
         "checker: {} gates, {} hold FFs, area {:.1}",
-        cost.gates, cost.flip_flops, cost.area
+        result.cost.gates, result.cost.flip_flops, result.cost.area
     );
     Ok((out, summary))
 }
@@ -479,7 +478,7 @@ pub fn certify(
         store,
     )
     .map_err(|e| match e {
-        ced_cert::CertError::Interrupted(i) => OpError::Interrupted(i),
+        ced_cert::CertError::Interrupted(i) => OpError::interrupted(i),
         other => OpError::Failed(other.to_string()),
     })
 }
@@ -512,21 +511,20 @@ pub fn inject(
     store: Option<&Store>,
 ) -> Result<Injection, OpError> {
     let options = &request.options;
-    let (_, circuit) = prepare_machine_stored(fsm, options, store)?;
+    let (encoded, circuit) = prepare_machine_stored(fsm, options, store)?;
     let faults = fault_list(&circuit, options);
     // The campaign's oracle is exact only under hardware semantics
     // with exhaustive inputs; the cover must be verified under the
     // same conditions or escapes would be expected, not disagreements.
+    let judge = PipelineOptions {
+        semantics: Semantics::FaultyTrajectory,
+        input_granularity: InputGranularity::Exhaustive,
+        ..options.clone()
+    };
     let (table, stats) = DetectabilityTable::build_many_controlled(
         &circuit,
         &faults,
-        &DetectOptions {
-            latency: request.latency,
-            semantics: Semantics::FaultyTrajectory,
-            input_model: InputModel::Exhaustive,
-            fault_model: options.fault_model,
-            ..DetectOptions::default()
-        },
+        &detect_options(&encoded, &judge, request.latency),
         &[request.latency],
         BuildControl {
             store,
@@ -534,10 +532,14 @@ pub fn inject(
             ..BuildControl::new(budget)
         },
     )
-    .map_err(op_error_from_detect)?
+    .map_err(|e| match e {
+        DetectError::Interrupted { interrupted, .. } => OpError::interrupted(interrupted),
+        other => OpError::Failed(other.to_string()),
+    })?
     .pop()
     .expect("one latency requested");
-    let search = minimize_parity_functions(&table, &options.ced);
+    let search =
+        minimize_interruptible(&table, &options.ced, None, budget).map_err(OpError::interrupted)?;
     let ced = synthesize_ced(&circuit, &search.cover, request.latency, &options.minimize);
     let report = run_campaign_stored(
         &circuit,
@@ -555,22 +557,11 @@ pub fn inject(
     )
     .map_err(|e| match e {
         CampaignError::Detect(d) => OpError::Failed(d.to_string()),
-        CampaignError::Interrupted { interrupted, .. } => OpError::Interrupted(interrupted),
+        CampaignError::Interrupted { interrupted, .. } => OpError::interrupted(interrupted),
     })?;
     Ok(Injection {
         stats,
         search,
         report,
     })
-}
-
-/// Maps the tensor builder's error: budget interrupts stay typed, the
-/// rest become analysis failures.
-fn op_error_from_detect(e: ced_sim::detect::DetectError) -> OpError {
-    match e {
-        ced_sim::detect::DetectError::Interrupted { interrupted, .. } => {
-            OpError::Interrupted(interrupted)
-        }
-        other => OpError::Failed(other.to_string()),
-    }
 }

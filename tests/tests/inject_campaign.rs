@@ -4,12 +4,18 @@
 //! *synthesized checker netlist* within the latency bound, with zero
 //! disagreements against the detectability tensor `V(i,j,k)`.
 
-use ced_core::pipeline::{fault_list, synthesize_circuit, PipelineOptions};
+use ced_core::pipeline::{
+    detect_options, fault_list, prepare_machine, synthesize_circuit, InputGranularity,
+    PipelineOptions,
+};
 use ced_core::search::{minimize_parity_functions, CedOptions};
 use ced_core::synthesize_ced;
 use ced_fsm::suite;
 use ced_inject::{run_campaign, CampaignOptions, CheckerFaultClass};
-use ced_sim::detect::{DetectOptions, DetectabilityTable, InputModel, Semantics};
+use ced_par::ParExec;
+use ced_runtime::{Budget, CancelToken, InterruptKind};
+use ced_serve::ops::{self, OpError, OpKind, OpRequest};
+use ced_sim::detect::{BuildControl, DetectOptions, DetectabilityTable, InputModel, Semantics};
 
 fn campaign_on(fsm: &ced_fsm::Fsm, latencies: &[usize]) {
     let options = PipelineOptions::paper_defaults();
@@ -133,4 +139,58 @@ fn degraded_greedy_cover_still_passes_the_campaign() {
         report.machine.detected_within_bound,
         report.machine.detectable
     );
+}
+
+#[test]
+fn inject_search_stops_on_a_cancel_after_the_tensor() {
+    // `ops::inject` searches under the request budget: a cancel fired
+    // by the first work unit past the tensor build stops the search
+    // itself, before the campaign injects a single fault.
+    let fsm = suite::paper_table1_scaled()
+        .into_iter()
+        .find(|s| s.name == "dk512")
+        .expect("dk512 analogue")
+        .build();
+    let mut request = OpRequest::new(OpKind::Inject, "");
+    request.latency = 2;
+    let judge = PipelineOptions {
+        semantics: Semantics::FaultyTrajectory,
+        input_granularity: InputGranularity::Exhaustive,
+        ..request.options.clone()
+    };
+    let (encoded, circuit) = prepare_machine(&fsm, &judge).expect("prepares");
+    let tensor = Budget::new();
+    DetectabilityTable::build_many_controlled(
+        &circuit,
+        &fault_list(&circuit, &judge),
+        &detect_options(&encoded, &judge, request.latency),
+        &[request.latency],
+        BuildControl::new(&tensor),
+    )
+    .expect("table fits");
+    let tensor_ticks = tensor.ticks();
+
+    let token = CancelToken::new();
+    let trip = token.clone();
+    let budget = Budget::new()
+        .with_cancel(token)
+        .with_observer(1, move |ticks, _| {
+            if ticks > tensor_ticks {
+                trip.cancel();
+            }
+        });
+    let err = ops::inject(&fsm, &request, &budget, &ParExec::serial(), None)
+        .expect_err("a cancel before the campaign must stop inject");
+    let OpError::Interrupted(i) = err else {
+        panic!("a cancel must surface as a typed interrupt, got {err}");
+    };
+    assert_eq!(i.kind, InterruptKind::Cancelled);
+    let stage = &i.progress.stage;
+    assert!(
+        ["search:", "simplex:", "rounding:"]
+            .iter()
+            .any(|prefix| stage.starts_with(prefix)),
+        "the search must observe the cancel, not stage `{stage}`"
+    );
+    assert!(!i.resumable, "nothing resumes an ops-level interrupt");
 }

@@ -17,6 +17,7 @@ use ced_fsm::suite as bench;
 use ced_logic::gate::CellLibrary;
 use ced_par::ParExec;
 use ced_runtime::Budget;
+use ced_serve::ops::{check_text_with_baseline, OpKind, OpRequest};
 use ced_store::{StageCounters, Store};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -141,6 +142,54 @@ fn pipeline_reports_identical_plain_cold_warm() {
         assert_reports_equal(&plain, &cold, &format!("{name}: plain vs cold"));
         assert_reports_equal(&plain, &warm, &format!("{name}: plain vs warm"));
     }
+}
+
+fn total_misses(store: &Store) -> u64 {
+    store.stats().stages.iter().map(|(_, c)| c.misses).sum()
+}
+
+/// `check` is a one-bound `table`: both memoize Algorithm 1 in the
+/// `search` stage under one key, so either serves the other warm.
+#[test]
+fn check_and_table_share_search_artifacts() {
+    let fsm = scaled("dk512");
+    let store = Store::in_memory();
+    let budget = Budget::unlimited();
+    let pool = ParExec::serial();
+    let mut request = OpRequest::new(OpKind::Check, "");
+    request.latency = 2;
+    let check = || {
+        check_text_with_baseline(&fsm, None, &request, &budget, &pool, Some(&store))
+            .expect("check completes")
+            .0
+    };
+    let cold = check();
+
+    let before = counters(&store, "search");
+    let mut control = PipelineControl::new(&budget);
+    control.store = Some(&store);
+    run_circuit_controlled(
+        &fsm,
+        &[request.latency],
+        &request.options,
+        &CellLibrary::new(),
+        control,
+    )
+    .expect("pipeline completes");
+    let after = counters(&store, "search");
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (1, 0),
+        "table after check must hit check's search artifact"
+    );
+
+    let misses = total_misses(&store);
+    assert_eq!(check(), cold, "warm check must print the cold bytes");
+    assert_eq!(
+        total_misses(&store),
+        misses,
+        "check after table must not miss"
+    );
 }
 
 /// Replaces the `"jobs":N` header token (the only part of a suite

@@ -10,10 +10,13 @@ use ced_core::{
     run_circuit_controlled, run_suite, MachineStatus, SuiteCheckpoint, SuiteControl, SuiteError,
     SuiteOptions, SUITE_CHECKPOINT_KIND,
 };
+use ced_fsm::generator::{generate, scaled_workload};
 use ced_fsm::machine::Fsm;
 use ced_fsm::suite as bench;
 use ced_logic::gate::CellLibrary;
+use ced_par::ParExec;
 use ced_runtime::{decode_checkpoint, encode_checkpoint, Budget, InterruptKind};
+use ced_serve::ops::{check_text_with_baseline, OpKind, OpRequest};
 
 fn scaled_machines(names: &[&str]) -> Vec<(String, Fsm)> {
     names
@@ -142,4 +145,72 @@ fn pipeline_tick_cap_is_a_typed_resumable_interrupt() {
     let report = run_circuit_controlled(fsm, &[1], &options, &CellLibrary::new(), control)
         .expect("resume with an unlimited budget completes");
     assert_eq!(report.latencies.len(), 1);
+}
+
+#[test]
+fn check_degrades_under_a_search_budget_exactly_like_table() {
+    // gen10x at p = 2: 235000 ticks cover the tensor build but not the
+    // search, so both commands step down the solver ladder. `check` is
+    // a one-bound `table`, so it must print the cover, trail and
+    // checker `table` reports under the same cap.
+    const CAP: u64 = 235_000;
+    let fsm = generate(&scaled_workload(10, 0));
+    let mut request = OpRequest::new(OpKind::Check, "");
+    request.latency = 2;
+    // The two runs are independent; side by side they take half the
+    // wall time of this (unoptimized) test build.
+    let (text, report) = std::thread::scope(|s| {
+        let check = s.spawn(|| {
+            check_text_with_baseline(
+                &fsm,
+                None,
+                &request,
+                &Budget::new().with_tick_cap(CAP),
+                &ParExec::serial(),
+                None,
+            )
+            .expect("a search budget degrades check, it does not stop it")
+            .0
+        });
+        let budget = Budget::new().with_tick_cap(CAP);
+        let report = run_circuit_controlled(
+            &fsm,
+            &[request.latency],
+            &request.options,
+            &CellLibrary::new(),
+            PipelineControl::new(&budget),
+        )
+        .expect("a search budget degrades table, it does not stop it");
+        (check.join().expect("check thread"), report)
+    });
+    let l = &report.latencies[0];
+    assert!(
+        !l.degradation.is_empty(),
+        "the cap must trip inside the search"
+    );
+    let mut expected = format!(
+        "Algorithm 1 (p = {}): q = {} parity trees ({} LP solves, {} rounding attempts)\n\
+         solved by {} after degradation:\n",
+        l.latency,
+        l.cover.len(),
+        l.lp_solves,
+        l.rounding_attempts,
+        l.method
+    );
+    for event in &l.degradation {
+        expected += &format!("  {event}\n");
+    }
+    for (i, &mask) in l.cover.masks.iter().enumerate() {
+        let taps: Vec<String> = (0..report.state_bits + report.outputs)
+            .filter(|j| (mask >> j) & 1 == 1)
+            .map(|j| format!("b{}", j + 1))
+            .collect();
+        expected += &format!("  tree {}: {}\n", i + 1, taps.join(" ⊕ "));
+    }
+    expected += &format!(
+        "checker: {} gates, {} hold FFs, area {:.1}\n",
+        l.cost.gates, l.cost.flip_flops, l.cost.area
+    );
+    let (_, body) = text.split_once('\n').expect("a fault-model line");
+    assert_eq!(body, expected);
 }
