@@ -797,6 +797,16 @@ pub fn equiv(args: &[String]) -> CliResult {
 /// synthesized checker netlist, tensor cross-validation, and the
 /// checker-netlist self-audit.
 pub fn inject(args: &[String]) -> CliResult {
+    if let Some(flag) = args
+        .iter()
+        .find(|a| matches!(a.as_str(), "--semantics" | "--exhaustive-inputs"))
+    {
+        return Err(format!(
+            "inject does not take {flag}: the campaign always judges the Fig. 3 hardware \
+             (faulty-trajectory semantics, exhaustive inputs)"
+        )
+        .into());
+    }
     let parsed = parse(args)?;
     let store = open_store(parsed.store.as_deref())?;
     let store = store.as_deref();

@@ -180,8 +180,9 @@ suite options:
                                              and the cert report is appended
                                              as a second JSON line
 
-inject options (the campaign always judges the Fig. 3 hardware, so
---semantics and --exhaustive-inputs do not apply):
+inject options (the campaign always judges the Fig. 3 hardware, under
+faulty-trajectory semantics with exhaustive inputs, so --semantics and
+--exhaustive-inputs are refused):
   --no-checker-faults                        skip the checker self-audit
   --steps N                                  cycles per injected fault (2000)
 
@@ -240,7 +241,10 @@ fingerprint does not match their own options):
                                              (default: wait forever)
   --manifest-wait-ms N                       worker: how long to wait for the
                                              coordinator's manifest (30000)
-  --poll-ms N                                watchdog / claim sweep period
+  --poll-ms N                                longest sleep between watchdog /
+                                             claim sweeps, which back off from
+                                             1 ms and restart there on progress
+                                             (default 50)
 
 fleet status (read-only; safe next to a live campaign):
   ced fleet status --store DIR [--json] [--stale-ms N]
@@ -259,8 +263,10 @@ exit codes:
   3  refuted      a proof obligation failed (certification refuted,
                   machines inequivalent, injected fault escaped, tensor
                   disagreement)
-  4  cancelled    budget or idle timeout stopped the run; checkpoints
-                  or partial fleet state were left for resumption
+  4  cancelled    budget or idle timeout stopped the run; `table` and
+                  `suite` leave their --checkpoint and `fleet` its
+                  campaign directory for resumption, while `check`,
+                  `certify` and `inject` leave nothing to resume
   5  degraded     campaign finished, nothing quarantined, but at least
                   one machine needed degraded options"
     );

@@ -124,6 +124,30 @@ fn inject_succeeds_with_matching_semantics() {
     }
 }
 
+#[test]
+fn inject_refuses_semantics_and_exhaustive_inputs() {
+    // The campaign always judges the Fig. 3 hardware; a flag that would
+    // pick another judge is a usage error, not silently ignored.
+    let path = write_machine();
+    let file = path.to_str().unwrap();
+    for flags in [
+        &["--semantics", "lockstep"][..],
+        &["--semantics", "hardware"][..],
+        &["--exhaustive-inputs"][..],
+    ] {
+        let mut args = vec!["inject", file, "--latency", "2"];
+        args.extend_from_slice(flags);
+        let out = ced(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        assert!(out.stdout.is_empty(), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(flags[0]) && err.contains("Fig. 3 hardware"),
+            "{flags:?}: {err}"
+        );
+    }
+}
+
 fn write_text(text: &str) -> tempfile::TempPath {
     let mut f = tempfile::NamedTempFile::new().expect("temp file");
     f.write_all(text.as_bytes()).expect("write");

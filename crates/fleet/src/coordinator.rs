@@ -3,15 +3,15 @@
 
 use crate::error::FleetError;
 use crate::proto::{
-    FleetDir, FleetLedger, FleetManifest, LedgerAction, LedgerEvent, UnitResult, UnitToken,
-    FLEET_LEDGER_KIND, FLEET_MANIFEST_KIND, FLEET_RESULT_KIND, FLEET_UNIT_KIND,
+    Backoff, FleetDir, FleetLedger, FleetManifest, LedgerAction, LedgerEvent, UnitResult,
+    UnitToken, FLEET_LEDGER_KIND, FLEET_MANIFEST_KIND, FLEET_RESULT_KIND, FLEET_UNIT_KIND,
 };
 use ced_core::{corpus_units, poisoned_record, suite_fingerprint, SuiteOptions, SuiteReport};
 use ced_fsm::machine::Fsm;
 use ced_runtime::{load_checkpoint, mtime_age, publish_envelope, CancelToken};
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Tag coordinator-published envelopes carry in their temp-file names.
@@ -22,7 +22,9 @@ const COORD_TAG: &str = "coordinator";
 pub struct CoordinatorOptions {
     /// A lease whose mtime is older than this is a dead worker's.
     pub heartbeat_timeout: Duration,
-    /// Sleep between watchdog sweeps.
+    /// Longest sleep between watchdog sweeps: sweeps back off from
+    /// 1 ms, doubling while nothing happens, up to this, and restart at
+    /// 1 ms after a sweep that harvested a result or logged an event.
     pub poll_interval: Duration,
     /// Assignments a unit gets before it is quarantined as poisonous
     /// (counting the first); the fleet analogue of the suite's
@@ -80,6 +82,18 @@ fn parse_lease_name(name: &str) -> Option<(usize, String)> {
         (Some("lease"), None) => Some((index, worker)),
         _ => None,
     }
+}
+
+/// The leases in `leased/` as `(unit index, worker id, path)`.
+fn list_leases(dir: &FleetDir) -> Result<Vec<(usize, String, PathBuf)>, FleetError> {
+    let listing = fs::read_dir(dir.leased()).map_err(|e| FleetError::io(&dir.leased(), &e))?;
+    Ok(listing
+        .flatten()
+        .filter_map(|entry| {
+            let (index, worker) = parse_lease_name(&entry.file_name().to_string_lossy())?;
+            Some((index, worker, entry.path()))
+        })
+        .collect())
 }
 
 /// Runs a fleet campaign to completion as its coordinator.
@@ -180,6 +194,10 @@ pub fn run_coordinator(
     let mut requeue: Vec<(Instant, UnitToken)> = Vec::new();
     let mut poisoned_units = 0usize;
     let mut reassigned = 0usize;
+    let mut sweeps = Backoff::new(copts.poll_interval);
+    // Ledger length at its last publish: the ledger is persisted on the
+    // first sweep and then only when it grew.
+    let mut persisted: Option<usize> = None;
 
     let publish_token = |index: usize, attempt: u64| -> Result<(), FleetError> {
         publish_envelope(
@@ -199,6 +217,7 @@ pub fn run_coordinator(
         if cancel.is_cancelled() {
             return Err(FleetError::Interrupted);
         }
+        let done_before = done.len();
 
         // Collect newly finished units.
         for (index, &attempt_now) in attempts.iter().enumerate() {
@@ -239,14 +258,10 @@ pub fn run_coordinator(
             }
         }
 
-        // Expire stale leases (dead workers).
-        let leases = fs::read_dir(dir.leased()).map_err(|e| FleetError::io(&dir.leased(), &e))?;
-        for entry in leases.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some((index, worker)) = parse_lease_name(&name) else {
-                continue;
-            };
-            let path = entry.path();
+        // Expire stale leases (dead workers). Units whose lease stays
+        // live are remembered for the orphan sweep below.
+        let mut live: BTreeSet<usize> = BTreeSet::new();
+        for (index, worker, path) in list_leases(&dir)? {
             if done.contains(&index) {
                 // Finished but the worker died before tidying its
                 // lease (or published late after an expiry).
@@ -255,6 +270,7 @@ pub fn run_coordinator(
             }
             let stale = mtime_age(&path).is_none_or(|age| age > copts.heartbeat_timeout);
             if !stale {
+                live.insert(index);
                 continue;
             }
             let attempt = load_checkpoint(&path, FLEET_UNIT_KIND)
@@ -329,23 +345,22 @@ pub fn run_coordinator(
         // pending token, no lease, no scheduled re-queue) gets its
         // token (re)published. On a fresh campaign this is the initial
         // publish; later it heals lost or corrupted token files.
-        for (index, unit) in units.iter().enumerate() {
-            if done.contains(&index)
-                || dir.pending_unit(index).exists()
-                || requeue.iter().any(|(_, t)| t.index as usize == index)
-            {
-                continue;
-            }
-            let leased = fs::read_dir(dir.leased())
-                .map_err(|e| FleetError::io(&dir.leased(), &e))?
-                .flatten()
-                .any(|e| {
-                    parse_lease_name(&e.file_name().to_string_lossy())
-                        .is_some_and(|(i, _)| i == index)
-                });
-            if leased {
-                continue;
-            }
+        let mut orphans: Vec<usize> = (0..total)
+            .filter(|&index| {
+                !done.contains(&index)
+                    && !live.contains(&index)
+                    && !requeue.iter().any(|(_, t)| t.index as usize == index)
+                    && !dir.pending_unit(index).exists()
+            })
+            .collect();
+        // A worker may have claimed (or even finished) a unit between
+        // the listing above and its pending check: look again before
+        // republishing, so a claimed unit is never handed out twice.
+        if !orphans.is_empty() {
+            let claimed: BTreeSet<usize> = list_leases(&dir)?.into_iter().map(|l| l.0).collect();
+            orphans.retain(|&index| !claimed.contains(&index) && !dir.done_unit(index).exists());
+        }
+        for index in orphans {
             publish_token(index, attempts[index])?;
             ledger.events.push(LedgerEvent {
                 unit: index as u64,
@@ -353,17 +368,23 @@ pub fn run_coordinator(
                 attempt: attempts[index],
                 worker: String::new(),
             });
-            debug_assert_eq!(units[index].index, unit.index);
         }
 
-        publish_envelope(
-            &dir.ledger(),
-            FLEET_LEDGER_KIND,
-            &ledger.to_bytes(),
-            COORD_TAG,
-        )?;
+        let logged = persisted != Some(ledger.events.len());
+        if logged {
+            publish_envelope(
+                &dir.ledger(),
+                FLEET_LEDGER_KIND,
+                &ledger.to_bytes(),
+                COORD_TAG,
+            )?;
+            persisted = Some(ledger.events.len());
+        }
         if done.len() < total {
-            std::thread::sleep(copts.poll_interval);
+            if logged || done.len() > done_before {
+                sweeps.reset();
+            }
+            sweeps.sleep();
         }
     }
 

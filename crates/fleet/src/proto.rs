@@ -22,6 +22,7 @@
 use ced_core::MachineRecord;
 use ced_runtime::{ByteReader, ByteWriter, CheckpointError};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// Checkpoint kind tag for the fleet campaign manifest.
 pub const FLEET_MANIFEST_KIND: u16 = 6;
@@ -99,6 +100,46 @@ impl FleetDir {
     /// A done result path for unit `index`.
     pub fn done_unit(&self, index: usize) -> PathBuf {
         self.done().join(format!("unit-{index:04}.ced"))
+    }
+}
+
+/// The sleep between polling sweeps of the fleet's directories: 1 ms
+/// after progress, doubling after every idle round up to a cap (the
+/// `poll_interval` of the worker or coordinator). A busy campaign is
+/// seen within a millisecond or two; an idle one settles at the cap.
+pub(crate) struct Backoff {
+    next: Duration,
+    cap: Duration,
+}
+
+impl Backoff {
+    /// The first sleep after progress.
+    const FIRST: Duration = Duration::from_millis(1);
+
+    /// A backoff whose sleeps never exceed `cap`.
+    pub(crate) fn new(cap: Duration) -> Backoff {
+        Backoff {
+            next: Backoff::FIRST.min(cap),
+            cap,
+        }
+    }
+
+    /// The sleep for this idle round; the next one is twice as long,
+    /// up to the cap.
+    pub(crate) fn next_delay(&mut self) -> Duration {
+        let delay = self.next;
+        self.next = delay.saturating_mul(2).min(self.cap);
+        delay
+    }
+
+    /// Sleeps for this idle round.
+    pub(crate) fn sleep(&mut self) {
+        std::thread::sleep(self.next_delay());
+    }
+
+    /// Progress was made: the next sleep is the shortest again.
+    pub(crate) fn reset(&mut self) {
+        self.next = Backoff::FIRST.min(self.cap);
     }
 }
 
@@ -480,6 +521,43 @@ mod tests {
         let back = FleetLedger::from_bytes(&ledger.to_bytes()).unwrap();
         assert_eq!(back, ledger);
         assert_eq!(back.terminal(0).unwrap().action, LedgerAction::Quarantined);
+    }
+
+    #[test]
+    fn backoff_doubles_from_one_ms_up_to_the_cap() {
+        let ms = Duration::from_millis;
+        let mut b = Backoff::new(ms(50));
+        let delays: Vec<Duration> = (0..9).map(|_| b.next_delay()).collect();
+        assert_eq!(
+            delays,
+            [1, 2, 4, 8, 16, 32, 50, 50, 50].map(ms),
+            "1 ms first, doubling, capped at the poll interval"
+        );
+    }
+
+    #[test]
+    fn backoff_restarts_at_one_ms_after_progress() {
+        let ms = Duration::from_millis;
+        let mut b = Backoff::new(ms(50));
+        for _ in 0..10 {
+            b.next_delay();
+        }
+        assert_eq!(b.next_delay(), ms(50));
+        b.reset();
+        assert_eq!(b.next_delay(), ms(1));
+        assert_eq!(b.next_delay(), ms(2));
+    }
+
+    #[test]
+    fn backoff_cap_below_one_ms_bounds_every_sleep() {
+        let cap = Duration::from_micros(300);
+        let mut b = Backoff::new(cap);
+        assert!((0..4).all(|_| b.next_delay() == cap));
+        b.reset();
+        assert_eq!(b.next_delay(), cap);
+        let mut zero = Backoff::new(Duration::ZERO);
+        assert_eq!(zero.next_delay(), Duration::ZERO);
+        assert_eq!(zero.next_delay(), Duration::ZERO);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use crate::error::FleetError;
 use crate::proto::{
-    FleetDir, FleetManifest, UnitResult, UnitToken, FLEET_MANIFEST_KIND, FLEET_RESULT_KIND,
-    FLEET_UNIT_KIND,
+    Backoff, FleetDir, FleetManifest, UnitResult, UnitToken, FLEET_MANIFEST_KIND,
+    FLEET_RESULT_KIND, FLEET_UNIT_KIND,
 };
 use ced_core::{run_suite_unit, suite_fingerprint, SuiteOptions};
 use ced_fsm::machine::Fsm;
@@ -14,7 +14,7 @@ use ced_runtime::{claim_by_rename, load_checkpoint, publish_envelope, touch, Can
 use ced_store::Store;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,7 +28,9 @@ pub struct WorkerOptions {
     /// How often the lease heartbeat thread bumps the lease mtime.
     /// Must be well under the coordinator's heartbeat timeout.
     pub heartbeat_period: Duration,
-    /// Sleep between claim sweeps when nothing is claimable.
+    /// Longest sleep between claim sweeps when nothing is claimable
+    /// (and between looks for the manifest): sweeps back off from 1 ms,
+    /// doubling up to this, and restart at 1 ms after a claim.
     pub poll_interval: Duration,
     /// Give up waiting for claimable work after this long with neither
     /// a claim nor campaign completion (`None` = wait forever).
@@ -68,21 +70,18 @@ pub enum WorkerOutcome {
 
 /// Keeps a lease fresh from a background thread until dropped (or the
 /// lease disappears — expiry by the coordinator stops the heartbeat).
+/// Dropping the guard hangs up the channel the thread waits on, so the
+/// thread wakes and exits at once instead of sleeping out its period.
 struct HeartbeatGuard {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl HeartbeatGuard {
     fn start(lease: PathBuf, period: Duration) -> HeartbeatGuard {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let (stop, wake) = mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(period);
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = wake.recv_timeout(period) {
                 // Lease gone: the coordinator expired us; the unit is
                 // someone else's now. Nothing left to keep alive.
                 if !touch(&lease).unwrap_or(false) {
@@ -91,7 +90,7 @@ impl HeartbeatGuard {
             }
         });
         HeartbeatGuard {
-            stop,
+            stop: Some(stop),
             handle: Some(handle),
         }
     }
@@ -99,7 +98,7 @@ impl HeartbeatGuard {
 
 impl Drop for HeartbeatGuard {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -131,6 +130,7 @@ fn load_corpus(
     cancel: &CancelToken,
 ) -> Result<(FleetManifest, Vec<(String, Fsm)>), FleetError> {
     let deadline = Instant::now() + wopts.manifest_wait;
+    let mut backoff = Backoff::new(wopts.poll_interval);
     let payload = loop {
         if cancel.is_cancelled() {
             return Err(FleetError::Interrupted);
@@ -143,7 +143,7 @@ fn load_corpus(
         if Instant::now() >= deadline {
             return Err(FleetError::ManifestMissing);
         }
-        std::thread::sleep(wopts.poll_interval);
+        backoff.sleep();
     };
     let manifest = FleetManifest::from_bytes(&payload)?;
     if manifest.version != env!("CARGO_PKG_VERSION") {
@@ -203,6 +203,7 @@ pub fn run_worker(
     let total = manifest.units.len();
     let mut processed = 0usize;
     let mut idle_since = Instant::now();
+    let mut backoff = Backoff::new(wopts.poll_interval);
 
     loop {
         if cancel.is_cancelled() {
@@ -238,10 +239,11 @@ pub fn run_worker(
                     return Ok(WorkerOutcome::IdleTimeout { processed });
                 }
             }
-            std::thread::sleep(wopts.poll_interval);
+            backoff.sleep();
             continue;
         };
         idle_since = Instant::now();
+        backoff.reset();
 
         // The token rode along through the rename; it knows which
         // assignment this is (for graceful give-back on cancel).

@@ -13,7 +13,7 @@ use ced_logic::gate::CellLibrary;
 use ced_runtime::{claim_by_rename, CancelToken};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn corpus() -> Vec<(String, Fsm)> {
     use ced_fsm::suite as m;
@@ -479,5 +479,120 @@ fn crashed_coordinator_resumes_over_finished_units() {
     .unwrap();
     assert_eq!(again.report.to_json(), serial);
     assert_eq!(again.ledger.check_accounting(corpus().len()), Ok(()));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A unit's end wakes its heartbeat thread: with a 5 s heartbeat period
+/// and the default 50 ms poll interval, a two-unit, two-worker campaign
+/// still finishes in well under one period.
+#[test]
+fn unit_end_wakes_the_heartbeat_and_polls_back_off() {
+    let machines: Vec<(String, Fsm)> = corpus().into_iter().take(2).collect();
+    let serial = run_suite(
+        &machines,
+        &options(),
+        &CellLibrary::new(),
+        SuiteControl::new(),
+    )
+    .unwrap()
+    .to_json();
+
+    let dir = tmp_dir("wake");
+    let copts = CoordinatorOptions {
+        poll_interval: Duration::from_millis(50),
+        ..CoordinatorOptions::default()
+    };
+    let start = Instant::now();
+    let outcome = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let dir = dir.clone();
+                scope.spawn(move || {
+                    let wopts = WorkerOptions {
+                        heartbeat_period: Duration::from_secs(5),
+                        poll_interval: Duration::from_millis(50),
+                        ..fast_worker(&format!("w{w}"))
+                    };
+                    run_worker(
+                        &dir,
+                        &options(),
+                        &wopts,
+                        &CellLibrary::new(),
+                        &CancelToken::new(),
+                        None,
+                    )
+                    .unwrap()
+                })
+            })
+            .collect();
+        let outcome =
+            run_coordinator(&dir, &machines, &options(), &copts, &CancelToken::new()).unwrap();
+        for w in workers {
+            w.join().unwrap();
+        }
+        outcome
+    });
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a two-unit campaign took {elapsed:?}: a unit's end must not wait out the heartbeat period"
+    );
+    assert_eq!(outcome.report.to_json(), serial);
+    assert_eq!(outcome.ledger.check_accounting(machines.len()), Ok(()));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Cancels its token when dropped, so a failing assertion cannot leave
+/// a coordinator thread sweeping forever inside `thread::scope`.
+struct CancelOnDrop(CancelToken);
+
+impl Drop for CancelOnDrop {
+    fn drop(&mut self) {
+        self.0.cancel();
+    }
+}
+
+/// Sweeps that change nothing leave `ledger.ced` alone: while a unit
+/// sits under a fresh lease, the file keeps its inode (every publish
+/// renames a new file into place). The test holds the ledger open, so
+/// a republish cannot reuse the old inode number.
+#[test]
+fn idle_sweeps_do_not_rewrite_the_ledger() {
+    use std::os::unix::fs::MetadataExt;
+
+    let dir = tmp_dir("quietledger");
+    let fleet = FleetDir::new(&dir);
+    let copts = CoordinatorOptions {
+        heartbeat_timeout: Duration::from_secs(60),
+        ..fast_coordinator()
+    };
+    let cancel = CancelToken::new();
+
+    let err = std::thread::scope(|scope| {
+        let coordinator = scope.spawn({
+            let (dir, copts, cancel) = (dir.clone(), copts.clone(), cancel.clone());
+            move || run_coordinator(&dir, &corpus(), &options(), &copts, &cancel)
+        });
+        let stop = CancelOnDrop(cancel.clone());
+        // The first sweep publishes every token, then the ledger.
+        wait_for(&fleet.ledger());
+        let lease = fleet.lease_unit(0, "holder");
+        assert!(claim_by_rename(&fleet.pending_unit(0), &lease).unwrap());
+        ced_runtime::touch(&lease).unwrap();
+        // Let the coordinator see the lease, then watch the ledger over
+        // many poll intervals.
+        std::thread::sleep(copts.poll_interval * 5);
+        let held = fs::File::open(fleet.ledger()).unwrap();
+        let inode = held.metadata().unwrap().ino();
+        std::thread::sleep(copts.poll_interval * 20);
+        assert_eq!(
+            fs::metadata(fleet.ledger()).unwrap().ino(),
+            inode,
+            "sweeps that log no event must not republish the ledger"
+        );
+        drop(stop);
+        coordinator.join().unwrap().unwrap_err()
+    });
+    assert!(matches!(err, FleetError::Interrupted), "{err}");
     fs::remove_dir_all(&dir).unwrap();
 }
