@@ -3,7 +3,7 @@
 
 use crate::error::FleetError;
 use crate::proto::{
-    Backoff, FleetDir, FleetLedger, FleetManifest, LedgerAction, LedgerEvent, UnitResult,
+    Cadence, FleetDir, FleetLedger, FleetManifest, LedgerAction, LedgerEvent, UnitResult,
     UnitToken, FLEET_LEDGER_KIND, FLEET_MANIFEST_KIND, FLEET_RESULT_KIND, FLEET_UNIT_KIND,
 };
 use ced_core::{corpus_units, poisoned_record, suite_fingerprint, SuiteOptions, SuiteReport};
@@ -22,9 +22,8 @@ const COORD_TAG: &str = "coordinator";
 pub struct CoordinatorOptions {
     /// A lease whose mtime is older than this is a dead worker's.
     pub heartbeat_timeout: Duration,
-    /// Longest sleep between watchdog sweeps: sweeps back off from
-    /// 1 ms, doubling while nothing happens, up to this, and restart at
-    /// 1 ms after a sweep that harvested a result or logged an event.
+    /// Period of the watchdog sweeps: they fall on whole multiples of
+    /// this after the coordinator started.
     pub poll_interval: Duration,
     /// Assignments a unit gets before it is quarantined as poisonous
     /// (counting the first); the fleet analogue of the suite's
@@ -127,6 +126,7 @@ pub fn run_coordinator(
     copts: &CoordinatorOptions,
     cancel: &CancelToken,
 ) -> Result<FleetOutcome, FleetError> {
+    let sweeps = Cadence::new(copts.poll_interval);
     let dir = FleetDir::new(store_dir);
     for d in [dir.root(), &dir.pending(), &dir.leased(), &dir.done()] {
         fs::create_dir_all(d).map_err(|e| FleetError::io(d, &e))?;
@@ -143,6 +143,10 @@ pub fn run_coordinator(
             .map(|u| (u.name.clone(), u.kiss2.clone()))
             .collect(),
     };
+    // A fresh campaign's manifest is published after the first sweep
+    // has published its units, so a worker that finds the manifest
+    // finds work to claim.
+    let mut unpublished_manifest = None;
     match load_checkpoint(&dir.manifest(), FLEET_MANIFEST_KIND) {
         Ok(payload) => {
             // Resuming: the directory's campaign must be this one.
@@ -160,14 +164,7 @@ pub fn run_coordinator(
                 });
             }
         }
-        Err(_) => {
-            publish_envelope(
-                &dir.manifest(),
-                FLEET_MANIFEST_KIND,
-                &manifest.to_bytes(),
-                COORD_TAG,
-            )?;
-        }
+        Err(_) => unpublished_manifest = Some(manifest.to_bytes()),
     }
 
     let total = units.len();
@@ -194,9 +191,9 @@ pub fn run_coordinator(
     let mut requeue: Vec<(Instant, UnitToken)> = Vec::new();
     let mut poisoned_units = 0usize;
     let mut reassigned = 0usize;
-    let mut sweeps = Backoff::new(copts.poll_interval);
     // Ledger length at its last publish: the ledger is persisted on the
-    // first sweep and then only when it grew.
+    // first sweep and then only when it grew; the last sweep leaves it
+    // to the publish after the merge.
     let mut persisted: Option<usize> = None;
 
     let publish_token = |index: usize, attempt: u64| -> Result<(), FleetError> {
@@ -213,11 +210,10 @@ pub fn run_coordinator(
         .map_err(FleetError::from)
     };
 
-    while done.len() < total {
+    loop {
         if cancel.is_cancelled() {
             return Err(FleetError::Interrupted);
         }
-        let done_before = done.len();
 
         // Collect newly finished units.
         for (index, &attempt_now) in attempts.iter().enumerate() {
@@ -370,8 +366,13 @@ pub fn run_coordinator(
             });
         }
 
-        let logged = persisted != Some(ledger.events.len());
-        if logged {
+        if let Some(bytes) = unpublished_manifest.take() {
+            publish_envelope(&dir.manifest(), FLEET_MANIFEST_KIND, &bytes, COORD_TAG)?;
+        }
+        if done.len() == total {
+            break;
+        }
+        if persisted != Some(ledger.events.len()) {
             publish_envelope(
                 &dir.ledger(),
                 FLEET_LEDGER_KIND,
@@ -380,12 +381,7 @@ pub fn run_coordinator(
             )?;
             persisted = Some(ledger.events.len());
         }
-        if done.len() < total {
-            if logged || done.len() > done_before {
-                sweeps.reset();
-            }
-            sweeps.sleep();
-        }
+        sweeps.sleep();
     }
 
     // Deterministic merge: results in corpus order, reassembled into

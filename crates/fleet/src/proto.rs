@@ -22,7 +22,7 @@
 use ced_core::MachineRecord;
 use ced_runtime::{ByteReader, ByteWriter, CheckpointError};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Checkpoint kind tag for the fleet campaign manifest.
 pub const FLEET_MANIFEST_KIND: u16 = 6;
@@ -103,43 +103,40 @@ impl FleetDir {
     }
 }
 
-/// The sleep between polling sweeps of the fleet's directories: 1 ms
-/// after progress, doubling after every idle round up to a cap (the
-/// `poll_interval` of the worker or coordinator). A busy campaign is
-/// seen within a millisecond or two; an idle one settles at the cap.
-pub(crate) struct Backoff {
-    next: Duration,
-    cap: Duration,
+/// The clock of a role's polling sweeps: ticks at whole multiples of
+/// the `poll_interval` after the role started, and a sweep that ran
+/// past a tick waits for the next one. Because the ticks do not move
+/// with the work done between them, a campaign ends on the first tick
+/// after its last result, whatever the units' compute times were within
+/// that period, so the same campaign takes the same time run after run.
+pub(crate) struct Cadence {
+    start: Instant,
+    period: Duration,
 }
 
-impl Backoff {
-    /// The first sleep after progress.
-    const FIRST: Duration = Duration::from_millis(1);
-
-    /// A backoff whose sleeps never exceed `cap`.
-    pub(crate) fn new(cap: Duration) -> Backoff {
-        Backoff {
-            next: Backoff::FIRST.min(cap),
-            cap,
+impl Cadence {
+    /// A cadence of `period` whose first tick is one period from now.
+    pub(crate) fn new(period: Duration) -> Cadence {
+        Cadence {
+            start: Instant::now(),
+            period,
         }
     }
 
-    /// The sleep for this idle round; the next one is twice as long,
-    /// up to the cap.
-    pub(crate) fn next_delay(&mut self) -> Duration {
-        let delay = self.next;
-        self.next = delay.saturating_mul(2).min(self.cap);
-        delay
+    /// The wait from `now` to the next tick after it.
+    pub(crate) fn delay_at(&self, now: Instant) -> Duration {
+        let period = self.period.as_nanos();
+        if period == 0 {
+            return Duration::ZERO;
+        }
+        let elapsed = now.saturating_duration_since(self.start).as_nanos();
+        let next = (elapsed / period + 1) * period;
+        Duration::from_nanos(u64::try_from(next - elapsed).unwrap_or(u64::MAX))
     }
 
-    /// Sleeps for this idle round.
-    pub(crate) fn sleep(&mut self) {
-        std::thread::sleep(self.next_delay());
-    }
-
-    /// Progress was made: the next sleep is the shortest again.
-    pub(crate) fn reset(&mut self) {
-        self.next = Backoff::FIRST.min(self.cap);
+    /// Sleeps until the next tick.
+    pub(crate) fn sleep(&self) {
+        std::thread::sleep(self.delay_at(Instant::now()));
     }
 }
 
@@ -524,40 +521,22 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_from_one_ms_up_to_the_cap() {
+    fn cadence_ticks_at_whole_periods_from_its_start() {
         let ms = Duration::from_millis;
-        let mut b = Backoff::new(ms(50));
-        let delays: Vec<Duration> = (0..9).map(|_| b.next_delay()).collect();
-        assert_eq!(
-            delays,
-            [1, 2, 4, 8, 16, 32, 50, 50, 50].map(ms),
-            "1 ms first, doubling, capped at the poll interval"
-        );
+        let c = Cadence::new(ms(50));
+        let at = |t: u64| c.delay_at(c.start + ms(t));
+        assert_eq!(at(0), ms(50), "the first tick is one period out");
+        assert_eq!(at(12), ms(38), "work done since the start is not added");
+        assert_eq!(at(49), ms(1));
+        assert_eq!(at(50), ms(50), "a sweep on a tick waits for the next");
+        assert_eq!(at(130), ms(20), "a sweep past a tick skips it");
     }
 
     #[test]
-    fn backoff_restarts_at_one_ms_after_progress() {
-        let ms = Duration::from_millis;
-        let mut b = Backoff::new(ms(50));
-        for _ in 0..10 {
-            b.next_delay();
-        }
-        assert_eq!(b.next_delay(), ms(50));
-        b.reset();
-        assert_eq!(b.next_delay(), ms(1));
-        assert_eq!(b.next_delay(), ms(2));
-    }
-
-    #[test]
-    fn backoff_cap_below_one_ms_bounds_every_sleep() {
-        let cap = Duration::from_micros(300);
-        let mut b = Backoff::new(cap);
-        assert!((0..4).all(|_| b.next_delay() == cap));
-        b.reset();
-        assert_eq!(b.next_delay(), cap);
-        let mut zero = Backoff::new(Duration::ZERO);
-        assert_eq!(zero.next_delay(), Duration::ZERO);
-        assert_eq!(zero.next_delay(), Duration::ZERO);
+    fn cadence_of_zero_never_sleeps() {
+        let c = Cadence::new(Duration::ZERO);
+        assert_eq!(c.delay_at(c.start), Duration::ZERO);
+        assert_eq!(c.delay_at(c.start + Duration::from_secs(1)), Duration::ZERO);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::error::FleetError;
 use crate::proto::{
-    Backoff, FleetDir, FleetManifest, UnitResult, UnitToken, FLEET_MANIFEST_KIND,
+    Cadence, FleetDir, FleetManifest, UnitResult, UnitToken, FLEET_MANIFEST_KIND,
     FLEET_RESULT_KIND, FLEET_UNIT_KIND,
 };
 use ced_core::{run_suite_unit, suite_fingerprint, SuiteOptions};
@@ -28,9 +28,9 @@ pub struct WorkerOptions {
     /// How often the lease heartbeat thread bumps the lease mtime.
     /// Must be well under the coordinator's heartbeat timeout.
     pub heartbeat_period: Duration,
-    /// Longest sleep between claim sweeps when nothing is claimable
-    /// (and between looks for the manifest): sweeps back off from 1 ms,
-    /// doubling up to this, and restart at 1 ms after a claim.
+    /// Period of the looks for the manifest and of the claim sweeps
+    /// when nothing is claimable: they fall on whole multiples of this
+    /// after the worker started.
     pub poll_interval: Duration,
     /// Give up waiting for claimable work after this long with neither
     /// a claim nor campaign completion (`None` = wait forever).
@@ -128,9 +128,9 @@ fn load_corpus(
     options: &SuiteOptions,
     wopts: &WorkerOptions,
     cancel: &CancelToken,
+    sweeps: &Cadence,
 ) -> Result<(FleetManifest, Vec<(String, Fsm)>), FleetError> {
     let deadline = Instant::now() + wopts.manifest_wait;
-    let mut backoff = Backoff::new(wopts.poll_interval);
     let payload = loop {
         if cancel.is_cancelled() {
             return Err(FleetError::Interrupted);
@@ -143,7 +143,7 @@ fn load_corpus(
         if Instant::now() >= deadline {
             return Err(FleetError::ManifestMissing);
         }
-        backoff.sleep();
+        sweeps.sleep();
     };
     let manifest = FleetManifest::from_bytes(&payload)?;
     if manifest.version != env!("CARGO_PKG_VERSION") {
@@ -198,12 +198,12 @@ pub fn run_worker(
     store: Option<&Arc<Store>>,
 ) -> Result<WorkerOutcome, FleetError> {
     check_worker_id(&wopts.worker_id)?;
+    let sweeps = Cadence::new(wopts.poll_interval);
     let dir = FleetDir::new(store_dir);
-    let (manifest, machines) = load_corpus(&dir, options, wopts, cancel)?;
+    let (manifest, machines) = load_corpus(&dir, options, wopts, cancel, &sweeps)?;
     let total = manifest.units.len();
     let mut processed = 0usize;
     let mut idle_since = Instant::now();
-    let mut backoff = Backoff::new(wopts.poll_interval);
 
     loop {
         if cancel.is_cancelled() {
@@ -239,11 +239,10 @@ pub fn run_worker(
                     return Ok(WorkerOutcome::IdleTimeout { processed });
                 }
             }
-            backoff.sleep();
+            sweeps.sleep();
             continue;
         };
         idle_since = Instant::now();
-        backoff.reset();
 
         // The token rode along through the rename; it knows which
         // assignment this is (for graceful give-back on cancel).

@@ -484,9 +484,10 @@ fn crashed_coordinator_resumes_over_finished_units() {
 
 /// A unit's end wakes its heartbeat thread: with a 5 s heartbeat period
 /// and the default 50 ms poll interval, a two-unit, two-worker campaign
-/// still finishes in well under one period.
+/// still finishes in well under one period. It cannot finish before the
+/// coordinator's first tick: its first sweep publishes the units.
 #[test]
-fn unit_end_wakes_the_heartbeat_and_polls_back_off() {
+fn unit_end_wakes_the_heartbeat() {
     let machines: Vec<(String, Fsm)> = corpus().into_iter().take(2).collect();
     let serial = run_suite(
         &machines,
@@ -537,6 +538,7 @@ fn unit_end_wakes_the_heartbeat_and_polls_back_off() {
         elapsed < Duration::from_secs(2),
         "a two-unit campaign took {elapsed:?}: a unit's end must not wait out the heartbeat period"
     );
+    assert!(elapsed >= copts.poll_interval, "{elapsed:?}");
     assert_eq!(outcome.report.to_json(), serial);
     assert_eq!(outcome.ledger.check_accounting(machines.len()), Ok(()));
     fs::remove_dir_all(&dir).unwrap();
@@ -574,7 +576,8 @@ fn idle_sweeps_do_not_rewrite_the_ledger() {
             move || run_coordinator(&dir, &corpus(), &options(), &copts, &cancel)
         });
         let stop = CancelOnDrop(cancel.clone());
-        // The first sweep publishes every token, then the ledger.
+        // The first sweep publishes every token, then the manifest and
+        // the ledger.
         wait_for(&fleet.ledger());
         let lease = fleet.lease_unit(0, "holder");
         assert!(claim_by_rename(&fleet.pending_unit(0), &lease).unwrap());
@@ -590,6 +593,40 @@ fn idle_sweeps_do_not_rewrite_the_ledger() {
             inode,
             "sweeps that log no event must not republish the ledger"
         );
+        drop(stop);
+        coordinator.join().unwrap().unwrap_err()
+    });
+    assert!(matches!(err, FleetError::Interrupted), "{err}");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A fresh campaign's manifest appears only after its units: a worker
+/// that finds the manifest finds work to claim, instead of sleeping
+/// into its next sweep while the coordinator publishes the tokens.
+#[test]
+fn a_fresh_campaigns_manifest_follows_its_units() {
+    let dir = tmp_dir("manifestlast");
+    let fleet = FleetDir::new(&dir);
+    let cancel = CancelToken::new();
+    let err = std::thread::scope(|scope| {
+        let coordinator = scope.spawn({
+            let (dir, cancel) = (dir.clone(), cancel.clone());
+            move || run_coordinator(&dir, &corpus(), &options(), &fast_coordinator(), &cancel)
+        });
+        let stop = CancelOnDrop(cancel.clone());
+        // Look without sleeping, so the check lands right after the
+        // manifest's rename.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !fleet.manifest().exists() {
+            assert!(Instant::now() < deadline, "no manifest");
+            std::thread::yield_now();
+        }
+        for index in 0..corpus().len() {
+            assert!(
+                fleet.pending_unit(index).exists(),
+                "unit {index} was not pending when the manifest appeared"
+            );
+        }
         drop(stop);
         coordinator.join().unwrap().unwrap_err()
     });
