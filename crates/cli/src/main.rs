@@ -241,10 +241,11 @@ fingerprint does not match their own options):
                                              (default: wait forever)
   --manifest-wait-ms N                       worker: how long to wait for the
                                              coordinator's manifest (30000)
-  --poll-ms N                                longest sleep between watchdog /
-                                             claim sweeps, which back off from
-                                             1 ms and restart there on progress
-                                             (default 50)
+  --poll-ms N                                period of the watchdog sweeps and
+                                             of a worker's manifest looks and
+                                             claim sweeps; they fall on whole
+                                             multiples of it after the process
+                                             started (default 50)
 
 fleet status (read-only; safe next to a live campaign):
   ced fleet status --store DIR [--json] [--stale-ms N]
