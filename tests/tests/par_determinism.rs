@@ -122,6 +122,20 @@ fn suite_report_identical_across_job_counts() {
     let one = run(Some(&ParExec::new(1)));
     let four = run(Some(&ParExec::new(4)));
     assert!(serial.contains("\"schema\":\"ced-suite-report/1\""));
+    // LP solves per (machine, bound) in report order, s27/tav/dk512 at
+    // p = 1, 2: the count of relaxations posed, so a solver or search
+    // change that skips or adds work shows here as drift.
+    let lp_solves: Vec<usize> = serial
+        .split("\"lp_solves\":")
+        .skip(1)
+        .map(|rest| {
+            let end = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..end].parse().expect("lp_solves is a count")
+        })
+        .collect();
+    assert_eq!(lp_solves, [4, 4, 2, 1, 3, 2]);
     assert_eq!(serial, one, "serial vs --jobs 1");
     assert_eq!(serial, four, "serial vs --jobs 4");
 }
