@@ -83,9 +83,11 @@ pub struct CedOptions {
     /// search stops issuing feasibility queries and degrades to the
     /// greedy rung. `None` = unbounded.
     pub time_budget: Option<Duration>,
-    /// Cap on LP solves per minimization call (an effort budget: each
-    /// solve builds and pivots a fresh sparse tableau). `None` =
-    /// unbounded.
+    /// Cap on LP solves per minimization call, counted as in
+    /// [`SearchOutcome::lp_solves`] (an effort budget: each new
+    /// relaxation builds and pivots a fresh sparse tableau; a repeated
+    /// one is answered from the retained solution and still counts).
+    /// `None` = unbounded.
     pub max_lp_solves: Option<usize>,
 }
 
@@ -217,7 +219,9 @@ pub struct SearchOutcome {
     pub cover: ParityCover,
     /// `cover.len()` — the minimized number of parity functions.
     pub q: usize,
-    /// LP solves performed across the search.
+    /// LP relaxations posed across the search. A refinement round that
+    /// added no row poses the same relaxation again; it is answered
+    /// from the retained solution without pivoting, and still counts.
     pub lp_solves: usize,
     /// Total rounding attempts across the search.
     pub rounding_attempts: usize,
@@ -278,7 +282,8 @@ pub fn minimize_with_incumbent(
 ///
 /// One work unit is charged per feasibility query, plus the simplex
 /// solver's per-pivot charges (the budget is threaded into every LP
-/// solve).
+/// solve; a repeated relaxation answered from the retained solution
+/// charges no pivots).
 ///
 /// # Errors
 ///
@@ -674,33 +679,42 @@ fn try_feasible(
 
     budget.runtime.charge(1);
     let mut last_failure = QueryVerdict::RoundingExhausted;
+    // The fractional β of the last relaxation solved, and whether the
+    // row subset has grown since. A round that added no row poses the
+    // identical relaxation, whose solve is a pure function of it: the
+    // next round reuses these β (still counting the relaxation as an
+    // LP solve) and only rounds again under its own seed.
+    let mut betas: Vec<Vec<f64>> = Vec::new();
+    let mut rows_grew = true;
     for round in 0..=options.refinement_rounds {
         if budget.exhausted(outcome.lp_solves) {
             return QueryVerdict::BudgetExceeded;
         }
-        let relax =
-            build_relaxation_with_objective(table, q, options.form, &rows, options.objective);
         outcome.lp_solves += 1;
-        let sol = match solve_budgeted_sparse(&relax.lp, budget.runtime) {
-            Ok(sol) => sol,
-            // Subset infeasible ⇒ full infeasible: a sound proof.
-            Err(SolveError::Infeasible) => return QueryVerdict::ProvedInfeasible,
-            // Unbounded/iteration-limit: numerical trouble, NOT a
-            // feasibility verdict — surfaced so the ladder can react.
-            Err(SolveError::Unbounded) | Err(SolveError::IterationLimit) => {
-                return QueryVerdict::NumericalFailure
-            }
-            // A cancelled token aborts the query; any other runtime
-            // bound is the soft degrade path.
-            Err(SolveError::Interrupted(i)) => {
-                return if i.kind == InterruptKind::Cancelled {
-                    QueryVerdict::Interrupted(i)
-                } else {
-                    QueryVerdict::BudgetExceeded
+        if rows_grew {
+            let relax =
+                build_relaxation_with_objective(table, q, options.form, &rows, options.objective);
+            let sol = match solve_budgeted_sparse(&relax.lp, budget.runtime) {
+                Ok(sol) => sol,
+                // Subset infeasible ⇒ full infeasible: a sound proof.
+                Err(SolveError::Infeasible) => return QueryVerdict::ProvedInfeasible,
+                // Unbounded/iteration-limit: numerical trouble, NOT a
+                // feasibility verdict — surfaced so the ladder can react.
+                Err(SolveError::Unbounded) | Err(SolveError::IterationLimit) => {
+                    return QueryVerdict::NumericalFailure
                 }
-            }
-        };
-        let betas = relax.fractional_betas(&sol.x);
+                // A cancelled token aborts the query; any other runtime
+                // bound is the soft degrade path.
+                Err(SolveError::Interrupted(i)) => {
+                    return if i.kind == InterruptKind::Cancelled {
+                        QueryVerdict::Interrupted(i)
+                    } else {
+                        QueryVerdict::BudgetExceeded
+                    }
+                }
+            };
+            betas = relax.fractional_betas(&sol.x);
+        }
         let ropts = RoundingOptions {
             iterations: options.iterations,
             seed: options
@@ -721,11 +735,13 @@ fn try_feasible(
                 }
                 // Row generation: feed the stubborn rows into the LP.
                 let budget_rows = options.lp_row_cap.max(16);
+                let before = rows.len();
                 for &i in failure.best_uncovered.iter().take(budget_rows) {
                     if !rows.contains(&i) {
                         rows.push(i);
                     }
                 }
+                rows_grew = rows.len() > before;
             }
         }
     }

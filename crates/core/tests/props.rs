@@ -6,9 +6,9 @@
 use ced_core::exact::exact_minimum_cover;
 use ced_core::greedy::{greedy_cover, GreedyOptions};
 use ced_core::ip::{verify_cover, ParityCover};
-use ced_core::relax::{build_relaxation, LpForm};
+use ced_core::relax::{build_relaxation, build_relaxation_with_objective, LpForm, LpObjective};
 use ced_core::search::{minimize_parity_functions, CedOptions};
-use ced_lp::solve;
+use ced_lp::{solve, solve_sparse};
 use ced_sim::detect::{DetectabilityTable, EcRow};
 use proptest::prelude::*;
 
@@ -94,6 +94,37 @@ proptest! {
         let rows: Vec<usize> = (0..table.len()).collect();
         let relax = build_relaxation(&table, exact.max(1), LpForm::Symmetric, &rows);
         prop_assert!(solve(&relax.lp).is_ok());
+    }
+
+    /// The search's sparse solver replays the dense oracle on the
+    /// relaxations the search actually poses: both forms, both
+    /// objectives, every `q` and lazy row subsets in the order row
+    /// generation appends them. Whole `Result`s compare, so x, duals,
+    /// objective, iteration count and typed failures all match.
+    #[test]
+    fn sparse_solver_reproduces_dense_on_relaxations(
+        table in table_strategy(),
+        q_pick in any::<usize>(),
+        subset in any::<u64>(),
+        rotate in any::<usize>(),
+    ) {
+        let q = 1 + q_pick % table.num_bits();
+        let mut rows: Vec<usize> = (0..table.len()).filter(|&i| subset >> (i % 64) & 1 == 1).collect();
+        if rows.is_empty() {
+            rows.push(subset as usize % table.len());
+        }
+        let shift = rotate % rows.len();
+        rows.rotate_left(shift);
+        for form in [LpForm::Symmetric, LpForm::Full] {
+            for objective in [LpObjective::SparseBeta, LpObjective::MaxCoverage] {
+                let relax = build_relaxation_with_objective(&table, q, form, &rows, objective);
+                prop_assert_eq!(
+                    solve(&relax.lp),
+                    solve_sparse(&relax.lp),
+                    "q = {}, {:?}, {:?}, rows {:?}", q, form, objective, rows
+                );
+            }
+        }
     }
 
     #[test]

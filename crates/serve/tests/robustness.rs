@@ -77,6 +77,15 @@ fn slow_table_req(id: &str) -> Json {
     slow_table_req_sized(id, 120)
 }
 
+/// A request that holds its executor for as long as any test runs: the
+/// exhaustive tensor of a 2000-state counter takes ~80 s to build in
+/// the debug profile and ~3 s in release, while checking its budget
+/// constantly. Only a cancellation ends it within a test, so a test
+/// that needs a busy executor cannot lose it to a fast engine.
+fn held_table_req(id: &str) -> Json {
+    slow_table_req_sized(id, 2000)
+}
+
 /// [`slow_table_req`] over an `n`-state counter, for tests that must
 /// outlast a budget regardless of engine speed — a budget-aborted
 /// request costs only the budget itself, so a much larger machine
@@ -315,19 +324,25 @@ fn overload_is_shed_with_typed_errors_while_admitted_work_completes() {
         max_pending: 1,
         ..options()
     });
-    // Occupy the single executor with a slow request.
+    // Occupy the single executor with a request that cannot finish.
     let mut slow = connect(&server);
-    slow.send_line(&slow_table_req("slow").render())
+    slow.send_line(&held_table_req("slow").render())
         .expect("send slow");
     let mut probe = connect(&server);
     wait_for(&mut probe, "slow request to start running", |h| {
         counter(h, "admitted") == 1 && h.get("queue_depth").and_then(Json::as_u64) == Some(0)
     });
-    // Fill the single pending slot, then flood: everything beyond the
-    // slot must be shed immediately with a typed `overloaded` error.
+    // Fill the single pending slot and wait until it holds the filler
+    // (a flood request racing the filler could take the slot), then
+    // flood: everything beyond the slot must be shed immediately with
+    // a typed `overloaded` error.
     probe
-        .send_line(&slow_table_req("fill").render())
+        .send_line(&held_table_req("fill").render())
         .expect("send filler");
+    let mut aux = connect(&server);
+    wait_for(&mut aux, "filler to take the pending slot", |h| {
+        counter(h, "admitted") == 2 && h.get("queue_depth").and_then(Json::as_u64) == Some(1)
+    });
     let mut flood = connect(&server);
     for i in 0..4 {
         flood
@@ -341,17 +356,17 @@ fn overload_is_shed_with_typed_errors_while_admitted_work_completes() {
     }
     // Shedding is accounted, and the daemon is still fully responsive
     // on its control plane while saturated.
-    let mut aux = connect(&server);
     let doc = health(&mut aux);
     assert!(counter(&doc, "shed") >= 4, "health: {}", doc.render());
-    // Dropping the saturating clients cancels their work; the daemon
+    // Dropping the saturating clients cancels their work — both held
+    // requests end cancelled, neither completes — and the daemon
     // returns to idle and keeps serving.
     drop(slow);
     drop(probe);
-    wait_for(&mut aux, "saturating work to drain", |h| {
-        h.get("queue_depth").and_then(Json::as_u64) == Some(0)
-            && counter(h, "completed") + counter(h, "cancelled") >= 2
+    let doc = wait_for(&mut aux, "saturating work to drain", |h| {
+        h.get("queue_depth").and_then(Json::as_u64) == Some(0) && counter(h, "cancelled") >= 2
     });
+    assert_eq!(counter(&doc, "completed"), 0, "health: {}", doc.render());
     let resp = aux
         .request(&check_req("after", TINY))
         .expect("post-overload check");
@@ -367,7 +382,7 @@ fn client_disconnect_observably_cancels_its_in_flight_request() {
     });
     let mut doomed = connect(&server);
     doomed
-        .send_line(&slow_table_req("doomed").render())
+        .send_line(&held_table_req("doomed").render())
         .expect("send slow");
     let mut probe = connect(&server);
     wait_for(&mut probe, "slow request to start running", |h| {
@@ -379,6 +394,7 @@ fn client_disconnect_observably_cancels_its_in_flight_request() {
         counter(h, "cancelled") > before
     });
     assert_eq!(counter(&doc, "panics"), 0);
+    assert_eq!(counter(&doc, "completed"), 0, "health: {}", doc.render());
     // The executor freed by the cancellation serves new work.
     let resp = probe
         .request(&check_req("after", TINY))
@@ -443,8 +459,9 @@ fn submitted_jobs_poll_fetch_and_cancel_as_typed_handles() {
             .expect("round trip");
         assert_eq!(error_kind(&resp), "not_found", "cmd {cmd}");
     }
-    // Submit a slow detached job; it survives beyond this request.
-    let doc = slow_table_req("ignored");
+    // Submit a detached job that cannot finish before it is
+    // cancelled; it survives beyond this request.
+    let doc = held_table_req("ignored");
     let resp = client
         .request(&obj(vec![
             ("id", Json::str("s1")),
