@@ -7,9 +7,10 @@
 //! *transport* around the same analysis code, never a second
 //! implementation with its own drift.
 
+use ced_fsm::generator::{generate, GeneratorConfig};
 use ced_runtime::Json;
 use ced_serve::Client;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -35,11 +36,15 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(extra: &[&str]) -> Daemon {
+        Daemon::spawn_with_stderr(extra, Stdio::null())
+    }
+
+    fn spawn_with_stderr(extra: &[&str], stderr: Stdio) -> Daemon {
         let mut child = Command::new(bin())
             .args(["serve", "--addr", "127.0.0.1:0"])
             .args(extra)
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(stderr)
             .spawn()
             .expect("spawn ced serve");
         let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
@@ -300,4 +305,77 @@ fn served_payloads_are_byte_identical_to_the_one_shot_cli() {
         assert_case_identical(&mut client, case, "jobs=1, no store");
     }
     daemon.shutdown();
+}
+
+/// A panicking analysis answers `internal_error` and leaves nothing on
+/// the daemon's stderr, whether it is the `debug-panic` probe or a real
+/// assertion inside `check` (one-hot assignment of a 64-state machine),
+/// and the daemon keeps serving.
+#[test]
+fn captured_panics_answer_internal_error_and_stay_off_stderr() {
+    let mut daemon = Daemon::spawn_with_stderr(&["--debug-ops", "--jobs", "2"], Stdio::piped());
+    let mut stderr = daemon.child.stderr.take().expect("piped stderr");
+    let reader = std::thread::spawn(move || {
+        let mut text = String::new();
+        stderr
+            .read_to_string(&mut text)
+            .expect("read daemon stderr");
+        text
+    });
+    let wide = ced_fsm::kiss::to_string(&generate(&GeneratorConfig {
+        name: "wide64".into(),
+        num_inputs: 1,
+        num_states: 64,
+        num_outputs: 1,
+        cubes_per_state: 2,
+        self_loop_bias: 0.3,
+        output_dc_prob: 0.0,
+        output_pool: 2,
+        seed: 7,
+    }));
+
+    let mut client = daemon.client();
+    // Both answers must come from a caught panic, not from a typed
+    // failure, which maps to `internal_error` as well.
+    let assert_panicked = |resp: &Json| {
+        let error = resp.get("error");
+        let field = |key| error.and_then(|e| e.get(key)).and_then(Json::as_str);
+        assert_eq!(field("kind"), Some("internal_error"), "{}", resp.render());
+        assert!(
+            field("message").is_some_and(|m| m.starts_with("analysis panicked: ")),
+            "{}",
+            resp.render()
+        );
+    };
+    let resp = client
+        .request(&obj(vec![
+            ("id", Json::str("boom")),
+            ("cmd", Json::str("debug-panic")),
+        ]))
+        .expect("debug-panic round trip");
+    assert_panicked(&resp);
+    let resp = client
+        .request(&obj(vec![
+            ("id", Json::str("wide")),
+            ("cmd", Json::str("check")),
+            ("machine", Json::str(&wide)),
+            ("encoding", Json::str("onehot")),
+        ]))
+        .expect("one-hot check round trip");
+    assert_panicked(&resp);
+    request_payload(
+        &mut client,
+        &obj(vec![
+            ("id", Json::str("after")),
+            ("cmd", Json::str("check")),
+            ("machine", Json::str(&machine_text("s27"))),
+        ]),
+    );
+    daemon.shutdown();
+
+    let stderr = reader.join().expect("stderr reader");
+    assert!(
+        !stderr.contains("panicked at"),
+        "captured panics reached stderr:\n{stderr}"
+    );
 }

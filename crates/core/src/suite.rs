@@ -2,16 +2,16 @@
 //!
 //! `run_suite` drives the full pipeline across many FSMs the way the
 //! paper's §5 experiment runs Table 1 — but built to survive the
-//! machines it cannot finish. Each machine runs in its own worker
-//! thread (panics are captured, not fatal), under its own [`Budget`]
-//! (per-machine deadline and/or tick cap). A machine that fails or
-//! exhausts its budget is retried once with degraded pipeline options
-//! — transition-cube input granularity and collapsed faults, the same
-//! accuracy/cost trade the PR-1 solver ladder makes — before being
-//! quarantined with whatever partial progress it reached. The suite
-//! checkpoint records every finished machine (as its rendered JSON,
-//! spliced back verbatim on resume), so a cancelled campaign resumed
-//! with `--resume` produces a byte-identical final report.
+//! machines it cannot finish. Each machine attempt runs under
+//! [`ced_par::isolate`] (panics are captured, not fatal) and under its
+//! own [`Budget`] (per-machine deadline and/or tick cap). A machine
+//! that fails or exhausts its budget is retried once with degraded
+//! pipeline options — transition-cube input granularity and collapsed
+//! faults, the same accuracy/cost trade the PR-1 solver ladder makes —
+//! before being quarantined with whatever partial progress it reached.
+//! The suite checkpoint records every finished machine (as its rendered
+//! JSON, spliced back verbatim on resume), so a cancelled campaign
+//! resumed with `--resume` produces a byte-identical final report.
 
 use crate::pipeline::{
     run_circuit_controlled, CircuitReport, InputGranularity, PipelineControl, PipelineError,
@@ -20,7 +20,7 @@ use crate::pipeline::{
 use crate::report::{degradation_notes, report_to_json};
 use ced_fsm::machine::Fsm;
 use ced_logic::gate::CellLibrary;
-use ced_par::ParExec;
+use ced_par::{isolate, ParExec};
 use ced_runtime::{
     fnv1a64, Budget, ByteReader, ByteWriter, CancelToken, CheckpointError, InterruptKind,
     Interrupted, Json,
@@ -28,17 +28,12 @@ use ced_runtime::{
 use ced_sim::fault::FaultModel;
 use ced_store::Store;
 use std::fmt;
-use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Checkpoint-container kind tag for suite checkpoints (see
 /// [`ced_runtime::encode_checkpoint`]).
 pub const SUITE_CHECKPOINT_KIND: u16 = 2;
-
-/// Name given to per-machine worker threads; the suite panic hook uses
-/// it to keep captured worker panics off stderr.
-const WORKER_THREAD_NAME: &str = "ced-suite";
 
 /// Configuration of a suite campaign.
 #[derive(Debug, Clone)]
@@ -511,20 +506,19 @@ pub struct SuiteControl<'a> {
     pub on_checkpoint: Option<&'a mut dyn FnMut(&SuiteCheckpoint)>,
     /// Called after every finished machine.
     pub on_progress: Option<ProgressSink<'a>>,
-    /// Worker pool for the machine loop: machines run as pool tasks
-    /// (attempt isolation by per-item panic capture instead of a
-    /// dedicated thread per attempt), their records merged in input
-    /// order, so the report is byte-identical to the serial loop at
-    /// every job count. `None` keeps the serial
-    /// thread-per-attempt loop. Machine-level parallelism deliberately
-    /// does not nest: pooled suite workers run their pipelines with a
-    /// serial build, so the thread count stays bounded by the pool.
+    /// Worker pool for the machine loop: machines run as pool tasks,
+    /// their records merged in input order, so the report is
+    /// byte-identical at every job count. `None` runs the machines
+    /// inline on [`ParExec::serial`]. Either way each attempt runs
+    /// under [`ced_par::isolate`]. Machine-level parallelism
+    /// deliberately does not nest: suite attempts run their pipelines
+    /// with a serial build, so the thread count stays bounded by the
+    /// pool.
     pub pool: Option<&'a ParExec>,
-    /// Content-addressed artifact store shared by every attempt (and
-    /// every pool worker — `Arc` because attempts run on their own
-    /// threads). First-writer-wins puts keyed by content fingerprints
-    /// make concurrent workers order-insensitive, so the report stays
-    /// byte-identical at every job count, warm or cold.
+    /// Content-addressed artifact store shared by every attempt and
+    /// every pool worker. First-writer-wins puts keyed by content
+    /// fingerprints make concurrent workers order-insensitive, so the
+    /// report stays byte-identical at every job count, warm or cold.
     pub store: Option<Arc<Store>>,
 }
 
@@ -553,32 +547,6 @@ enum AttemptOutcome {
     Done(CircuitReport),
     Interrupted(Interrupted, Vec<String>),
     Failed(String),
-}
-
-/// Installs (once, process-wide) a forwarding panic hook that keeps
-/// captured worker-thread panics off stderr; every other thread's
-/// panics still reach the previous hook.
-fn install_suite_panic_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if std::thread::current().name() == Some(WORKER_THREAD_NAME) {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// The degraded-retry option set: transition-cube inputs and collapsed
@@ -620,19 +588,16 @@ pub fn suite_fingerprint(machines: &[(String, Fsm)], options: &SuiteOptions) -> 
     fnv1a64(&w.finish())
 }
 
-/// The pipeline attempt body: per-attempt budget assembly plus the
-/// run itself, with no isolation — callers wrap it in a dedicated
-/// thread ([`run_attempt`]) or a per-item panic net
-/// ([`run_attempt_pooled`]).
-fn attempt_body(
+/// Runs one pipeline attempt inline under [`isolate`] and its own
+/// budget, turning a panic or a budget interrupt into an outcome.
+fn run_attempt(
     fsm: &Fsm,
-    latencies: &[usize],
     pipeline: &PipelineOptions,
     library: &CellLibrary,
     options: &SuiteOptions,
     cancel: &CancelToken,
     store: Option<&Store>,
-) -> Result<CircuitReport, PipelineError> {
+) -> AttemptOutcome {
     let mut budget = Budget::new().with_cancel(cancel.clone());
     if let Some(d) = options.machine_deadline {
         budget = budget.with_deadline(d);
@@ -642,14 +607,7 @@ fn attempt_body(
     }
     let mut control = PipelineControl::new(&budget);
     control.store = store;
-    run_circuit_controlled(fsm, latencies, pipeline, library, control)
-}
-
-/// Classifies a joined/caught attempt result into an outcome record.
-fn classify_attempt(
-    joined: Result<Result<CircuitReport, PipelineError>, Box<dyn std::any::Any + Send>>,
-) -> AttemptOutcome {
-    match joined {
+    match isolate(|| run_circuit_controlled(fsm, &options.latencies, pipeline, library, control)) {
         Ok(Ok(report)) => AttemptOutcome::Done(report),
         Ok(Err(PipelineError::Interrupted(pi))) => {
             let mut progress = Vec::new();
@@ -665,66 +623,8 @@ fn classify_attempt(
             AttemptOutcome::Interrupted(pi.interrupted, progress)
         }
         Ok(Err(e)) => AttemptOutcome::Failed(e.to_string()),
-        Err(payload) => AttemptOutcome::Failed(format!("panic: {}", panic_message(&*payload))),
+        Err(msg) => AttemptOutcome::Failed(format!("panic: {msg}")),
     }
-}
-
-/// Runs one pipeline attempt in a named worker thread, capturing
-/// panics and budget interrupts.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    name: &str,
-    fsm: &Fsm,
-    latencies: &[usize],
-    pipeline: &PipelineOptions,
-    library: &CellLibrary,
-    options: &SuiteOptions,
-    cancel: &CancelToken,
-    store: Option<&Arc<Store>>,
-) -> AttemptOutcome {
-    let fsm = fsm.clone();
-    let latencies = latencies.to_vec();
-    let pipeline = pipeline.clone();
-    let library = library.clone();
-    let options = options.clone();
-    let cancel = cancel.clone();
-    let store = store.cloned();
-    let handle = std::thread::Builder::new()
-        .name(WORKER_THREAD_NAME.into())
-        .spawn(move || {
-            attempt_body(
-                &fsm,
-                &latencies,
-                &pipeline,
-                &library,
-                &options,
-                &cancel,
-                store.as_deref(),
-            )
-        })
-        .unwrap_or_else(|e| panic!("spawning worker for {name}: {e}"));
-    classify_attempt(handle.join())
-}
-
-/// Runs one pipeline attempt inline on the current (pool) thread,
-/// catching panics per attempt instead of spending a thread on the
-/// isolation. Panic quarantine semantics are identical to
-/// [`run_attempt`]: the pool's workers carry [`WORKER_THREAD_NAME`],
-/// so the suite panic hook keeps captured panics off stderr, and a
-/// panicking attempt poisons nothing — the worker resumes with the
-/// next machine.
-fn run_attempt_pooled(
-    fsm: &Fsm,
-    latencies: &[usize],
-    pipeline: &PipelineOptions,
-    library: &CellLibrary,
-    options: &SuiteOptions,
-    cancel: &CancelToken,
-    store: Option<&Store>,
-) -> AttemptOutcome {
-    classify_attempt(std::panic::catch_unwind(AssertUnwindSafe(|| {
-        attempt_body(fsm, latencies, pipeline, library, options, cancel, store)
-    })))
 }
 
 fn render_record(
@@ -765,101 +665,48 @@ fn finish_record(
 }
 
 /// Runs one machine to a final record, or returns the cancellation
-/// that aborted it. Budget exhaustion (deadline/tick cap) degrades and
-/// then quarantines; only cancellation stops the campaign.
+/// that aborted it: the requested options first, then (with
+/// `retry_degraded`) the degraded ones. Budget exhaustion
+/// (deadline/tick cap) degrades and then quarantines; only
+/// cancellation stops the campaign.
 fn run_machine(
     name: &str,
     fsm: &Fsm,
     options: &SuiteOptions,
     library: &CellLibrary,
     cancel: &CancelToken,
-    pooled: bool,
-    store: Option<&Arc<Store>>,
+    store: Option<&Store>,
 ) -> Result<MachineRecord, Interrupted> {
-    let attempt = |pipeline: &PipelineOptions| {
-        if pooled {
-            run_attempt_pooled(
-                fsm,
-                &options.latencies,
-                pipeline,
-                library,
-                options,
-                cancel,
-                store.map(Arc::as_ref),
-            )
-        } else {
-            run_attempt(
-                name,
-                fsm,
-                &options.latencies,
-                pipeline,
-                library,
-                options,
-                cancel,
-                store,
-            )
-        }
-    };
-    let mut notes = Vec::new();
-    let mut attempts = 1;
-    match attempt(&options.pipeline) {
-        AttemptOutcome::Done(report) => {
-            let ladder = degradation_notes(&report);
-            let status = if ladder.is_empty() {
-                MachineStatus::Completed
-            } else {
-                MachineStatus::Degraded
-            };
-            notes.extend(ladder);
-            return Ok(finish_record(name, status, attempts, notes, Some(&report)));
-        }
-        AttemptOutcome::Interrupted(i, progress) => {
-            if i.kind == InterruptKind::Cancelled {
-                return Err(i);
-            }
-            let mut note = format!(
-                "attempt 1: interrupted by budget ({:?} at {})",
-                i.kind, i.progress.stage
-            );
-            if !progress.is_empty() {
-                note.push_str(&format!("; {}", progress.join(", ")));
-            }
-            notes.push(note);
-        }
-        AttemptOutcome::Failed(msg) => {
-            if cancel.is_cancelled() {
-                // A panic racing the cancel: honor the cancellation.
-                return Err(cancel_interrupt(cancel));
-            }
-            notes.push(format!("attempt 1: {msg}"));
-        }
-    }
-
     let degraded = degraded_pipeline(&options.pipeline);
     let already_degraded = degraded.input_granularity == options.pipeline.input_granularity
         && degraded.full_fault_list == options.pipeline.full_fault_list;
-    if options.retry_degraded && !already_degraded {
-        attempts = 2;
-        notes.push(
-            "retrying with degraded options (transition-cube inputs, collapsed faults)".into(),
-        );
-        match attempt(&degraded) {
+    let retry = options.retry_degraded && !already_degraded;
+    let plan = [&options.pipeline, &degraded];
+    let plan = &plan[..if retry { 2 } else { 1 }];
+    let mut notes = Vec::new();
+    for (attempt, pipeline) in (1..).zip(plan) {
+        if attempt == 2 {
+            notes.push(
+                "retrying with degraded options (transition-cube inputs, collapsed faults)".into(),
+            );
+        }
+        match run_attempt(fsm, pipeline, library, options, cancel, store) {
             AttemptOutcome::Done(report) => {
-                notes.extend(degradation_notes(&report));
-                return Ok(finish_record(
-                    name,
-                    MachineStatus::Degraded,
-                    attempts,
-                    notes,
-                    Some(&report),
-                ));
+                let ladder = degradation_notes(&report);
+                let status = if attempt == 1 && ladder.is_empty() {
+                    MachineStatus::Completed
+                } else {
+                    MachineStatus::Degraded
+                };
+                notes.extend(ladder);
+                return Ok(finish_record(name, status, attempt, notes, Some(&report)));
             }
             AttemptOutcome::Interrupted(i, progress) => {
                 if i.kind == InterruptKind::Cancelled {
                     return Err(i);
                 }
                 let mut note = format!(
-                    "attempt 2: interrupted by budget ({:?} at {})",
+                    "attempt {attempt}: interrupted by budget ({:?} at {})",
                     i.kind, i.progress.stage
                 );
                 if !progress.is_empty() {
@@ -869,19 +716,20 @@ fn run_machine(
             }
             AttemptOutcome::Failed(msg) => {
                 if cancel.is_cancelled() {
+                    // A panic racing the cancel: honor the cancellation.
                     return Err(cancel_interrupt(cancel));
                 }
-                notes.push(format!("attempt 2: {msg}"));
+                notes.push(format!("attempt {attempt}: {msg}"));
             }
         }
-    } else if options.retry_degraded {
+    }
+    if options.retry_degraded && !retry {
         notes.push("degraded options identical to requested options; no retry".into());
     }
-
     Ok(finish_record(
         name,
         MachineStatus::Quarantined,
-        attempts,
+        plan.len(),
         notes,
         None,
     ))
@@ -912,9 +760,10 @@ pub fn run_suite(
     library: &CellLibrary,
     mut control: SuiteControl<'_>,
 ) -> Result<SuiteReport, SuiteError> {
-    install_suite_panic_hook();
     let fingerprint = suite_fingerprint(machines, options);
-    let jobs = control.pool.map_or(1, ParExec::jobs);
+    let serial = ParExec::serial();
+    let pool = control.pool.unwrap_or(&serial);
+    let jobs = pool.jobs();
     let mut records: Vec<MachineRecord> = Vec::new();
     if let Some(ckpt) = control.resume.take() {
         if ckpt.version != env!("CARGO_PKG_VERSION") {
@@ -945,70 +794,45 @@ pub fn run_suite(
     let cancel = control.cancel.clone();
     let mut on_checkpoint = control.on_checkpoint.take();
     let mut on_progress = control.on_progress.take();
-    // The pool runs machines as tasks; its streaming ordered merge
-    // consumes finished records in input order as soon as their prefix
-    // is complete, so per-machine checkpoints and progress heartbeats
-    // fire mid-campaign exactly like the serial loop's. Pool workers
-    // carry the suite worker thread name (panic-hook quarantine), and
-    // `None` preserves the serial thread-per-attempt loop verbatim.
-    let suite_pool = control
-        .pool
-        .map(|p| p.clone().with_thread_name(WORKER_THREAD_NAME));
-    let mut consume = |record: MachineRecord| {
-        records.push(record);
-        let checkpoint = SuiteCheckpoint::new(fingerprint, jobs, records.clone());
-        if let Some(sink) = on_checkpoint.as_mut() {
-            sink(&checkpoint);
-        }
-        if let Some(progress) = on_progress.as_mut() {
-            progress(records.len(), total, records.last().unwrap());
-        }
-    };
+    // The pool's streaming ordered merge consumes finished records in
+    // input order as soon as their prefix is complete, so per-machine
+    // checkpoints and progress heartbeats fire mid-campaign at every
+    // job count (a one-job pool is literally the serial loop).
     let store = control.store.take();
-    let outcome: Result<(), Interrupted> = match &suite_pool {
-        Some(pool) => pool.for_each_ordered(
-            remaining,
-            |_, (name, fsm)| {
-                if cancel.is_cancelled() {
-                    return Err(cancel_interrupt(&cancel));
-                }
-                run_machine(name, fsm, options, library, &cancel, true, store.as_ref())
-            },
-            |_, record| consume(record),
-        ),
-        None => remaining.iter().try_for_each(|(name, fsm)| {
+    let outcome = pool.for_each_ordered(
+        remaining,
+        |_, (name, fsm)| {
             if cancel.is_cancelled() {
                 return Err(cancel_interrupt(&cancel));
             }
-            let record = run_machine(name, fsm, options, library, &cancel, false, store.as_ref())?;
-            consume(record);
-            Ok(())
-        }),
-    };
-
-    match outcome {
-        Ok(()) => Ok(SuiteReport {
-            latencies: options.latencies.clone(),
-            records,
-            certified: false,
-            jobs,
-            fault_model: options.pipeline.fault_model,
-        }),
-        Err(interrupted) => {
+            run_machine(name, fsm, options, library, &cancel, store.as_deref())
+        },
+        |_, record| {
+            records.push(record);
             let checkpoint = SuiteCheckpoint::new(fingerprint, jobs, records.clone());
-            let partial = SuiteReport {
-                latencies: options.latencies.clone(),
-                records,
-                certified: false,
-                jobs,
-                fault_model: options.pipeline.fault_model,
-            };
-            Err(SuiteError::Interrupted(Box::new(SuiteInterrupted {
-                interrupted,
-                checkpoint,
-                partial,
-            })))
-        }
+            if let Some(sink) = on_checkpoint.as_mut() {
+                sink(&checkpoint);
+            }
+            if let Some(progress) = on_progress.as_mut() {
+                progress(records.len(), total, records.last().unwrap());
+            }
+        },
+    );
+
+    let report = SuiteReport {
+        latencies: options.latencies.clone(),
+        records,
+        certified: false,
+        jobs,
+        fault_model: options.pipeline.fault_model,
+    };
+    match outcome {
+        Ok(()) => Ok(report),
+        Err(interrupted) => Err(SuiteError::Interrupted(Box::new(SuiteInterrupted {
+            interrupted,
+            checkpoint: SuiteCheckpoint::new(fingerprint, jobs, report.records.clone()),
+            partial: report,
+        }))),
     }
 }
 
@@ -1043,11 +867,11 @@ pub fn corpus_units(machines: &[(String, Fsm)]) -> Vec<CorpusUnit> {
 }
 
 /// Runs a single corpus unit to its final record — the fleet worker's
-/// inner loop. Identical semantics to one iteration of the serial
-/// [`run_suite`] machine loop (dedicated worker thread, panic capture,
-/// budget, degraded retry, quarantine), so records produced by
-/// separate worker processes merge byte-identically with a
-/// single-process campaign.
+/// inner loop. Identical semantics to one iteration of the
+/// [`run_suite`] machine loop (attempts inline under
+/// [`ced_par::isolate`], budget, degraded retry, quarantine), so
+/// records produced by separate worker processes merge
+/// byte-identically with a single-process campaign.
 ///
 /// # Errors
 ///
@@ -1061,8 +885,7 @@ pub fn run_suite_unit(
     cancel: &CancelToken,
     store: Option<&Arc<Store>>,
 ) -> Result<MachineRecord, Interrupted> {
-    install_suite_panic_hook();
-    run_machine(name, fsm, options, library, cancel, false, store)
+    run_machine(name, fsm, options, library, cancel, store.map(Arc::as_ref))
 }
 
 /// Builds a quarantined record for a unit no worker survived — the
@@ -1245,6 +1068,56 @@ mod tests {
                 .any(|n| n.contains("retrying with degraded options")),
             "{:?}",
             rec.notes
+        );
+    }
+
+    #[test]
+    fn attempt_note_trails_are_pinned() {
+        let run = |granularity, full_faults| {
+            let mut opts = SuiteOptions {
+                machine_ticks: Some(1),
+                ..fast_options()
+            };
+            opts.pipeline.input_granularity = granularity;
+            opts.pipeline.full_fault_list = full_faults;
+            let report = run_suite(
+                &small_suite()[..1],
+                &opts,
+                &CellLibrary::new(),
+                SuiteControl::new(),
+            )
+            .unwrap();
+            let rec = report.records[0].clone();
+            assert_eq!(rec.status, MachineStatus::Quarantined);
+            (rec.attempts, rec.notes)
+        };
+        let stop = |n: usize| {
+            format!(
+                "attempt {n}: interrupted by budget (TickCapExceeded at tables:extract); \
+                 build reached fault 0, 0 latency bounds completed"
+            )
+        };
+        assert_eq!(
+            run(InputGranularity::Exhaustive, true),
+            (
+                2,
+                vec![
+                    stop(1),
+                    "retrying with degraded options (transition-cube inputs, collapsed faults)"
+                        .to_string(),
+                    stop(2),
+                ]
+            )
+        );
+        assert_eq!(
+            run(InputGranularity::TransitionCubes, false),
+            (
+                1,
+                vec![
+                    stop(1),
+                    "degraded options identical to requested options; no retry".to_string(),
+                ]
+            )
         );
     }
 

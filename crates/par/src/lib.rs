@@ -33,19 +33,81 @@
 //! one call, borrow the items and closures directly (no `'static`
 //! bounds, no channels leaking past the call), and are joined before
 //! the call returns. `ParExec` itself is a tiny value type — a worker
-//! count plus an optional thread name — so it can be cloned into
-//! options structs freely.
+//! count — so it can be cloned into options structs freely.
+//!
+//! [`isolate`] is the one panic-isolation path of the workspace: the
+//! suite runs each machine attempt under it and the daemon each
+//! request, so a panicking analysis becomes an error value for its own
+//! caller and nothing on stderr. Pool workers inherit the spawning
+//! thread's captured state, so a panic on a worker of an isolated call
+//! stays quiet too, while an uncaptured panic (a plain CLI run) still
+//! reaches the previous panic hook.
 
+use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Once};
+
+thread_local! {
+    /// Whether this thread is inside [`isolate`] (or is a pool worker
+    /// spawned from such a thread); the panic hook stays silent then.
+    static CAPTURED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn captured() -> bool {
+    // `try_with`: a panic while the thread-local is being torn down
+    // is not captured.
+    CAPTURED.try_with(Cell::get).unwrap_or(false)
+}
+
+/// Installs (once, process-wide) a forwarding panic hook that keeps
+/// panics on captured threads off stderr; every other panic still
+/// reaches the previous hook.
+fn install_panic_hook() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !captured() {
+                prev(info);
+            }
+        }));
+    });
+}
+
+/// Runs `f` on the current thread, capturing a panic as its message:
+/// the payload text for `&str` and `String` payloads, otherwise
+/// `"non-string panic payload"`. While `f` runs the thread counts as
+/// captured (see the crate docs), so the panic prints nothing; nested
+/// calls restore the outer state on return.
+///
+/// `f` is treated as unwind-safe: a caller that gets `Err` must drop
+/// whatever `f` was building rather than keep using it.
+///
+/// # Errors
+///
+/// The panic message when `f` panics.
+pub fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    install_panic_hook();
+    let outer = CAPTURED.replace(true);
+    let result = std::panic::catch_unwind(AssertUnwindSafe(f));
+    CAPTURED.set(outer);
+    result.map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
+}
 
 /// A deterministic fork-join executor; see the crate docs for the
 /// ordering contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParExec {
     jobs: usize,
-    thread_name: Option<String>,
 }
 
 /// Outcome of one item, tagged for transport to the merging thread.
@@ -58,15 +120,11 @@ enum ItemResult<U, E> {
 impl ParExec {
     /// An executor with exactly `jobs` workers (clamped to at least 1).
     pub fn new(jobs: usize) -> ParExec {
-        ParExec {
-            jobs: jobs.max(1),
-            thread_name: None,
-        }
+        ParExec { jobs: jobs.max(1) }
     }
 
     /// A single-worker executor: runs items in order on the caller's
-    /// thread (unless a thread name forces a worker; see
-    /// [`Self::with_thread_name`]).
+    /// thread.
     pub fn serial() -> ParExec {
         ParExec::new(1)
     }
@@ -79,17 +137,6 @@ impl ParExec {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
         )
-    }
-
-    /// Names the worker threads (visible to panic hooks and
-    /// debuggers). Naming also forces even a single-worker executor to
-    /// run items on a spawned worker thread rather than inline, so
-    /// thread-name-keyed panic hooks behave identically at every
-    /// worker count.
-    #[must_use]
-    pub fn with_thread_name(mut self, name: &str) -> ParExec {
-        self.thread_name = Some(name.to_string());
-        self
     }
 
     /// The worker count.
@@ -182,7 +229,7 @@ impl ParExec {
         if items.is_empty() {
             return Ok(());
         }
-        if self.jobs == 1 && self.thread_name.is_none() {
+        if self.jobs == 1 {
             // Inline fast path: literally the serial loop, stopping at
             // the first failure like any left-to-right fold.
             for (i, item) in items.iter().enumerate() {
@@ -219,18 +266,18 @@ impl ParExec {
         // converges to the serial run's first failure.
         let floor = AtomicUsize::new(usize::MAX);
         let (tx, rx) = mpsc::channel::<(usize, ItemResult<U, E>)>();
+        let captured = captured();
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
                 let floor = &floor;
-                let builder = match &self.thread_name {
-                    Some(name) => std::thread::Builder::new().name(name.clone()),
-                    None => std::thread::Builder::new(),
-                };
-                builder
-                    .spawn_scoped(scope, move || loop {
+                // Workers inherit the caller's captured state, so a
+                // panicking item under `isolate` stays off stderr.
+                scope.spawn(move || {
+                    CAPTURED.set(captured);
+                    loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= n || start >= floor.load(Ordering::Relaxed) {
                             return;
@@ -257,8 +304,8 @@ impl ParExec {
                                 return;
                             }
                         }
-                    })
-                    .expect("spawning pool worker");
+                    }
+                });
             }
             drop(tx);
 
@@ -422,17 +469,66 @@ mod tests {
     }
 
     #[test]
-    fn named_single_worker_runs_off_the_caller_thread() {
-        let caller = std::thread::current().id();
-        let pool = ParExec::new(1).with_thread_name("ced-par-test");
-        let names = pool
-            .try_map(&[0u8], |_, _| {
-                let t = std::thread::current();
-                Ok::<_, ()>((t.id(), t.name().map(str::to_string)))
+    fn isolate_maps_payloads_to_their_messages() {
+        assert_eq!(isolate(|| 7), Ok(7));
+        assert_eq!(
+            isolate(|| panic!("static text")),
+            Err::<(), _>("static text".to_string())
+        );
+        let n = 3;
+        assert_eq!(
+            isolate(|| panic!("formatted {n}")),
+            Err::<(), _>("formatted 3".to_string())
+        );
+        assert_eq!(
+            isolate(|| std::panic::panic_any(42u32)),
+            Err::<(), _>("non-string panic payload".to_string())
+        );
+    }
+
+    #[test]
+    fn pool_item_panic_under_isolate_is_an_error_on_the_caller() {
+        let items: Vec<usize> = (0..16).collect();
+        let result = isolate(|| {
+            ParExec::new(2).try_map(&items, |_, &x| {
+                if x == 9 {
+                    panic!("item {x} fails");
+                }
+                Ok::<usize, ()>(x)
             })
+        });
+        assert_eq!(result, Err("item 9 fails".to_string()));
+        assert!(!captured(), "the caller leaves isolate uncaptured");
+    }
+
+    #[test]
+    fn pool_workers_spawned_inside_isolate_are_captured() {
+        let caller = std::thread::current().id();
+        let items = [0u8; 8];
+        let seen = isolate(|| {
+            ParExec::new(2)
+                .try_map(&items, |_, _| {
+                    Ok::<_, ()>((std::thread::current().id(), captured()))
+                })
+                .unwrap()
+        })
+        .unwrap();
+        assert!(seen.iter().all(|&(id, c)| id != caller && c), "{seen:?}");
+        let outside = ParExec::new(2)
+            .try_map(&items, |_, _| Ok::<_, ()>(captured()))
             .unwrap();
-        assert_ne!(names[0].0, caller);
-        assert_eq!(names[0].1.as_deref(), Some("ced-par-test"));
+        assert!(outside.iter().all(|&c| !c), "{outside:?}");
+    }
+
+    #[test]
+    fn nested_isolate_restores_the_outer_state() {
+        assert!(!captured());
+        let inner = isolate(|| {
+            assert_eq!(isolate(|| panic!("inner")), Err::<(), _>("inner".into()));
+            captured()
+        });
+        assert_eq!(inner, Ok(true), "the outer scope is still captured");
+        assert!(!captured());
     }
 
     #[test]

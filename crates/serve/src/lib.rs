@@ -24,9 +24,11 @@
 //!   [`ced_runtime::CancelToken`] wired into its requests' budgets;
 //!   the moment the client goes away, its in-flight work is cancelled
 //!   cooperatively.
-//! * **Panic isolation** — every request runs under `catch_unwind`; a
-//!   panicking analysis becomes a typed `internal_error` response and
-//!   the daemon keeps serving.
+//! * **Panic isolation** — every request runs under
+//!   [`ced_par::isolate`], the same capture the suite runner uses; a
+//!   panicking analysis (on the executor or on a pool worker) becomes a
+//!   typed `internal_error` response, prints nothing, and the daemon
+//!   keeps serving.
 //! * **Hostile framing** — request lines are bounded-read: oversized
 //!   lines, slow-trickle partial lines and mid-line disconnects all
 //!   produce typed errors ([`proto::LineReader`]), never unbounded

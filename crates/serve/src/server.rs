@@ -10,8 +10,8 @@
 //!   analysis requests through **admission control** — a bounded queue
 //!   that answers `overloaded` instead of growing;
 //! * a fixed set of **executor threads** drains the queue, each request
-//!   wrapped in `catch_unwind` so a panicking analysis becomes a typed
-//!   `internal_error` response while the daemon keeps serving.
+//!   run under [`ced_par::isolate`] so a panicking analysis becomes a
+//!   typed `internal_error` response while the daemon keeps serving.
 //!
 //! Cancellation is disconnect-driven: every connection owns a
 //! [`CancelToken`] cloned into the [`Budget`] of each synchronous
@@ -25,23 +25,16 @@ use crate::proto::{
     self, ErrorKind, LineReader, ReadOutcome, Request, JOB_STATE_DONE, JOB_STATE_QUEUED,
     JOB_STATE_RUNNING,
 };
-use ced_par::ParExec;
+use ced_par::{isolate, ParExec};
 use ced_runtime::{fnv1a64, Budget, CancelToken, Json};
 use ced_store::Store;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Thread name of the request executors; the forwarding panic hook
-/// keeps their captured panics off stderr.
-pub const EXEC_THREAD_NAME: &str = "ced-serve-exec";
-/// Thread name of the shared analysis pool's workers (same silencing).
-pub const POOL_THREAD_NAME: &str = "ced-serve-pool";
 
 /// Socket read-timeout used as the poll interval for shutdown and
 /// stall detection.
@@ -221,36 +214,6 @@ impl ConnWriter {
     }
 }
 
-/// Installs (once, process-wide) a forwarding panic hook that keeps
-/// captured executor/pool panics off stderr; every other thread's
-/// panics still reach the previous hook. Same idiom as the suite
-/// runner's hook — both can be installed in either order.
-fn install_serve_panic_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if matches!(
-                std::thread::current().name(),
-                Some(EXEC_THREAD_NAME) | Some(POOL_THREAD_NAME)
-            ) {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// A running daemon. Dropping the handle does *not* stop it; call
 /// [`Server::stop`] (or send a `shutdown` request) and then
 /// [`Server::wait`].
@@ -269,7 +232,6 @@ impl Server {
     /// Propagates the bind failure; a store that cannot open is
     /// reported as [`std::io::ErrorKind::InvalidData`].
     pub fn start(options: ServeOptions) -> std::io::Result<Server> {
-        install_serve_panic_hook();
         let listener = TcpListener::bind(&options.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -279,7 +241,7 @@ impl Server {
             })?),
             None => None,
         };
-        let pool = ParExec::new(options.jobs).with_thread_name(POOL_THREAD_NAME);
+        let pool = ParExec::new(options.jobs);
         let shutdown = CancelToken::new();
         let shared = Arc::new(Shared {
             pool,
@@ -299,7 +261,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             executors.push(
                 std::thread::Builder::new()
-                    .name(EXEC_THREAD_NAME.to_string())
+                    .name("ced-serve-exec".to_string())
                     .spawn(move || executor_loop(&shared))
                     .expect("spawning executor thread"),
             );
@@ -487,12 +449,10 @@ fn run_job(shared: &Arc<Shared>, mut job: Job) {
         budget = budget.with_tick_cap(cap);
     }
     let outcome = match &job.work {
-        Work::Op(op) => std::panic::catch_unwind(AssertUnwindSafe(|| {
-            ops::execute(op, &budget, &shared.pool, shared.store.as_ref())
-        })),
-        Work::Panic => std::panic::catch_unwind(|| -> Result<OpOutput, OpError> {
-            panic!("deliberate debug panic")
-        }),
+        Work::Op(op) => isolate(|| ops::execute(op, &budget, &shared.pool, shared.store.as_ref())),
+        Work::Panic => {
+            isolate(|| -> Result<OpOutput, OpError> { panic!("deliberate debug panic") })
+        }
     };
     let result: Result<OpOutput, (ErrorKind, String)> = match outcome {
         Ok(Ok(output)) => {
@@ -508,11 +468,11 @@ fn run_job(shared: &Arc<Shared>, mut job: Job) {
             Err((kind, i.to_string()))
         }
         Ok(Err(OpError::Failed(m))) => Err((ErrorKind::InternalError, m)),
-        Err(payload) => {
+        Err(msg) => {
             shared.counters.panics.fetch_add(1, Ordering::Relaxed);
             Err((
                 ErrorKind::InternalError,
-                format!("analysis panicked: {}", panic_message(payload.as_ref())),
+                format!("analysis panicked: {msg}"),
             ))
         }
     };
