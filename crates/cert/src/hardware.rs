@@ -118,7 +118,8 @@ pub fn verify_checker(
     let good = TransitionTables::good(circuit);
     let r = good.num_inputs();
     let n = circuit.total_bits();
-    let corruptions: u64 = 1u64 << n;
+    // 2ⁿ corruptions: n reaches 64 (`MAX_RESPONSE_BITS`), one past u64.
+    let corruptions: u128 = 1u128 << n;
     let states = good.reachable_codes();
     let masks = hw.masks();
 
@@ -155,11 +156,13 @@ pub fn verify_checker(
         input_model.inputs_at(c, r, &mut inputs);
         transitions.extend(inputs.iter().map(|&a| (c, a)));
     }
-    let total = transitions.len() as u64 * corruptions;
+    let total = transitions.len() as u128 * corruptions;
 
     let mut checked: u64 = 0;
-    if total <= max_patterns {
+    if total <= u128::from(max_patterns) {
         for &(c, a) in &transitions {
+            // A transition exists, so 2ⁿ ≤ total fits in u64.
+            let corruptions = corruptions as u64;
             budget.tick(corruptions, "certify/checker")?;
             for e in 0..corruptions {
                 checked += 1;
@@ -179,7 +182,9 @@ pub fn verify_checker(
         }))
     } else {
         // Deterministic LCG sweep over the same space; e = 0 first so
-        // the no-false-alarm case is always exercised.
+        // the no-false-alarm case is always exercised. One draw is 53
+        // bits wide, so wider corruptions XOR a second draw in above
+        // bit 11 (n ≤ 53 keeps the one-draw sequence).
         let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
         let mut lcg = move || {
             x = x
@@ -194,8 +199,10 @@ pub fn verify_checker(
             let (c, a) = transitions[(lcg() % transitions.len() as u64) as usize];
             let e = if sample < transitions.len() as u64 {
                 0
+            } else if n <= 53 {
+                lcg() & (corruptions as u64 - 1)
             } else {
-                lcg() & (corruptions - 1)
+                (lcg() ^ (lcg() << 11)) & (u64::MAX >> (64 - n))
             };
             checked += 1;
             if let Some(refuted) = check_one(c, a, e) {

@@ -106,7 +106,7 @@ fn best_mask(
             *rng_state = rng_state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (*rng_state >> (64 - n as u32)) & ((1u64 << n) - 1)
+            (*rng_state >> (64 - n as u32)) & (u64::MAX >> (64 - n as u32))
         };
         let mut score = packed.covered_count(mask, uncovered);
         loop {

@@ -87,52 +87,63 @@ impl CedHardware {
 
     /// Evaluates the checker for one transition: does the comparator
     /// flag a mismatch between the predicted parities (from `input`,
-    /// `state`) and the actual monitored bits?
+    /// `state`) and the actual monitored bits? A one-lane
+    /// [`CedHardware::flags_words`].
     ///
     /// # Panics
     ///
-    /// Panics if arguments exceed their bit widths.
+    /// As [`CedHardware::pack_lane`].
     pub fn flags(&self, state: u64, input: u64, actual_bits: u64) -> bool {
-        let bits = self.pack_inputs(state, input, actual_bits);
-        self.netlist.eval_single(&bits)[0]
+        let mut words = self.lane_words();
+        self.pack_lane(&mut words, 0, state, input, actual_bits);
+        self.flags_words(&words, &mut Vec::new()) & 1 == 1
     }
 
-    /// Evaluates the checker with a stuck-at `fault` injected into its
-    /// *own* netlist — the "checker of the checker": does the damaged
-    /// comparator still raise `ERROR` for this transition?
+    /// Zeroed packed checker inputs: one word per netlist input
+    /// (`r + s + n`), 64 transitions (lanes) per word.
+    pub fn lane_words(&self) -> Vec<u64> {
+        vec![0; self.netlist.num_inputs()]
+    }
+
+    /// Packs one transition into `lane` of `words` (from
+    /// [`CedHardware::lane_words`]) in the order `synthesize_ced` wires
+    /// the checker inputs: primary inputs in positions `0..r`,
+    /// present-state bits in `r..r+s`, monitored actual bits in
+    /// `r+s..r+s+n`. The lane must be clear: bits are ORed in.
     ///
     /// # Panics
     ///
-    /// Panics if arguments exceed their bit widths or the fault names a
-    /// net outside the checker netlist.
-    pub fn flags_with_fault(
-        &self,
-        state: u64,
-        input: u64,
-        actual_bits: u64,
-        fault: ced_sim::fault::Fault,
-    ) -> bool {
-        let bits = self.pack_inputs(state, input, actual_bits);
-        ced_sim::eval::eval_single_faulty(&self.netlist, &bits, fault)[0]
+    /// Panics if `lane ≥ 64` or `state`/`input` exceed their bit
+    /// widths.
+    pub fn pack_lane(&self, words: &mut [u64], lane: usize, state: u64, input: u64, actual: u64) {
+        assert!(lane < 64, "a word holds 64 lanes");
+        assert!(state.checked_shr(self.state_bits as u32).unwrap_or(0) == 0);
+        assert!(input.checked_shr(self.num_inputs as u32).unwrap_or(0) == 0);
+        let r = self.num_inputs;
+        let s = self.state_bits;
+        let fields = [
+            (input, 0, r),
+            (state, r, s),
+            (actual, r + s, self.monitored_bits),
+        ];
+        for (value, base, width) in fields {
+            for (bit, word) in words[base..base + width].iter_mut().enumerate() {
+                *word |= ((value >> bit) & 1) << lane;
+            }
+        }
     }
 
-    /// The checker's input vector layout: primary inputs in positions
-    /// `0..r`, present-state bits in `r..r+s`, monitored actual bits in
-    /// `r+s..r+s+n` (the order `synthesize_ced` wires them).
-    fn pack_inputs(&self, state: u64, input: u64, actual_bits: u64) -> Vec<bool> {
-        assert!(state < (1u64 << self.state_bits));
-        assert!(input < (1u64 << self.num_inputs) || self.num_inputs == 64);
-        let mut bits = Vec::with_capacity(self.num_inputs + self.state_bits + self.monitored_bits);
-        for i in 0..self.num_inputs {
-            bits.push((input >> i) & 1 == 1);
-        }
-        for b in 0..self.state_bits {
-            bits.push((state >> b) & 1 == 1);
-        }
-        for j in 0..self.monitored_bits {
-            bits.push((actual_bits >> j) & 1 == 1);
-        }
-        bits
+    /// Evaluates the checker on the 64 lanes of packed `words` and
+    /// returns the `ERROR` word (bit `k` = lane `k` flags), reusing
+    /// `values` as the per-net scratch of
+    /// [`Netlist::eval_words_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not one word per checker input.
+    pub fn flags_words(&self, words: &[u64], values: &mut Vec<u64>) -> u64 {
+        self.netlist.eval_words_into(words, values);
+        values[self.netlist.outputs()[0].index()]
     }
 }
 
@@ -334,6 +345,20 @@ mod tests {
         assert!(n >= 2);
     }
 
+    /// `ERROR` of the checker with `fault` injected into its own
+    /// netlist, for one transition packed into lane 0.
+    fn faulty_flag(
+        ced: &CedHardware,
+        state: u64,
+        input: u64,
+        actual: u64,
+        fault: ced_sim::fault::Fault,
+    ) -> bool {
+        let mut words = ced.lane_words();
+        ced.pack_lane(&mut words, 0, state, input, actual);
+        ced_sim::eval::eval_outputs_faulty(ced.netlist(), &words, fault)[0] & 1 == 1
+    }
+
     #[test]
     fn stuck_error_output_masks_or_forces_the_flag() {
         use ced_sim::fault::Fault;
@@ -346,7 +371,8 @@ mod tests {
         let error_net = ced.netlist().outputs()[0];
         // ERROR stuck-at-0: every corruption is silently swallowed.
         for j in 0..c.total_bits() {
-            assert!(!ced.flags_with_fault(
+            assert!(!faulty_flag(
+                &ced,
                 code,
                 0,
                 actual ^ (1 << j),
@@ -354,7 +380,13 @@ mod tests {
             ));
         }
         // ERROR stuck-at-1: even correct operation raises the alarm.
-        assert!(ced.flags_with_fault(code, 0, actual, Fault::new(error_net, true)));
+        assert!(faulty_flag(
+            &ced,
+            code,
+            0,
+            actual,
+            Fault::new(error_net, true)
+        ));
     }
 
     #[test]
@@ -373,9 +405,36 @@ mod tests {
         let corrupted = actual ^ 1;
         assert!(ced.flags(code, 0, corrupted));
         assert_eq!(
-            ced.flags_with_fault(code, 0, corrupted, Fault::new(error_net, true)),
+            faulty_flag(&ced, code, 0, corrupted, Fault::new(error_net, true)),
             ced.flags(code, 0, corrupted)
         );
+    }
+
+    #[test]
+    fn word_flags_match_one_lane_flags() {
+        // 64 transitions packed into one word answer lane by lane what
+        // 64 one-lane calls answer.
+        let c = circuit();
+        let n = c.total_bits();
+        let cover = ParityCover::new(vec![0b11]);
+        let ced = synthesize_ced(&c, &cover, 1, &MinimizeOptions::default());
+        let good = TransitionTables::good(&c);
+        let codes = good.reachable_codes();
+        let mut words = ced.lane_words();
+        let mut lanes = Vec::new();
+        for lane in 0..64 {
+            let code = codes[lane % codes.len()];
+            let input = (lane as u64 / 3) & ((1 << c.num_inputs()) - 1);
+            let actual = good.response(code, input) ^ ((lane as u64 * 7) & ((1 << n) - 1));
+            ced.pack_lane(&mut words, lane, code, input, actual);
+            lanes.push((code, input, actual));
+        }
+        let flags = ced.flags_words(&words, &mut Vec::new());
+        for (lane, &(code, input, actual)) in lanes.iter().enumerate() {
+            assert_eq!((flags >> lane) & 1 == 1, ced.flags(code, input, actual));
+        }
+        assert_ne!(flags, 0);
+        assert_ne!(flags, u64::MAX);
     }
 
     #[test]

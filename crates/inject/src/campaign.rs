@@ -207,11 +207,13 @@ pub fn run_campaign(
 /// **Pool.** Faults are judged in parallel (each judgement — analytic
 /// verdict, per-fault tables, the checker-in-the-loop drive — is pure
 /// and carries its own deterministic seed), then folded into the
-/// campaign accumulator in fault-index order. The report is
-/// byte-identical to the serial run at every job count; an interrupt
-/// surfaces the lowest-index interrupted fault with the outcomes of
-/// every fault before it, and the pool drains (no fault above the
-/// interrupt index is started once it is known).
+/// campaign accumulator in fault-index order. The checker self-audit
+/// then classifies the checker's own faults on the same pool, folded
+/// in fault-list order too. The report is byte-identical to the serial
+/// run at every job count; an interrupt surfaces the lowest-index
+/// interrupted fault with the outcomes of every fault before it, and
+/// the pool drains (no fault above the interrupt index is started once
+/// it is known).
 ///
 /// **Store.** Each fault's analytic-verdict tensor (an exhaustive
 /// single-fault detectability table) is memoized under the shared
@@ -242,7 +244,11 @@ pub fn run_campaign_stored(
 ) -> Result<CampaignReport, CampaignError> {
     let p = ced.latency();
     assert_eq!(
-        ced.masks().iter().fold(0, |a, &m| a | m) >> circuit.total_bits(),
+        ced.masks()
+            .iter()
+            .fold(0u64, |a, &m| a | m)
+            .checked_shr(circuit.total_bits() as u32)
+            .unwrap_or(0),
         0,
         "checker monitors bits outside the circuit interface"
     );
@@ -296,7 +302,7 @@ pub fn run_campaign_stored(
                 partial: Box::new(machine),
             });
         }
-        Some(audit_checker(circuit, ced, options))
+        Some(audit_checker(circuit, ced, options, pool))
     } else {
         None
     };
@@ -454,6 +460,13 @@ fn analytic_verdict(
 /// first cycle (if any) where the netlist's flag disagreed with the
 /// parity model on a fault-free-reachable present state.
 ///
+/// The checker runs 64 cycles per netlist pass: the trajectory never
+/// depends on `ERROR`, so up to 64 cycles of it are run ahead and
+/// packed into one [`CedHardware::flags_words`] call, then the
+/// per-cycle verdict is replayed over the lanes in order and stops
+/// where a one-cycle drive would (DESIGN §7.3). Input draws past the
+/// stop are dropped with the fault's own RNG stream.
+///
 /// Time-invariant models (permanent, multi-bit) hold the fault
 /// asserted for the whole run — byte-identical to the pre-model drive
 /// for the permanent default. Time-varying models assert it over
@@ -491,50 +504,78 @@ fn drive_with_checker(
     } else {
         (rng.next_u64() % 8) as usize
     };
+    // Whether some earlier cycle's response differed from the good
+    // one: the re-arm rule's "no error activated yet". The look-ahead
+    // tracks it itself, since `window` is only set by the replay.
+    let mut activated = false;
+    let mut words = ced.lane_words();
+    let mut values = Vec::new();
+    let mut diffs = [0u64; 64];
 
-    for cycle in 0..options.steps {
-        let active = if invariant {
-            true
-        } else if cycle < assert_at {
-            false
-        } else {
-            let step = cycle - assert_at + 1;
-            if model.dead_after(step) && window.is_none() {
-                // The transient died without activating an error:
-                // re-arm it at a later random cycle.
-                assert_at = cycle + 1 + (rng.next_u64() % 16) as usize;
+    let mut block_start = 0;
+    while block_start < options.steps {
+        // Look-ahead: the trajectory never depends on `ERROR`, so run
+        // up to 64 cycles of it and pack them into one checker pass.
+        let lanes = (options.steps - block_start).min(64);
+        words.fill(0);
+        let mut valid_lanes = 0u64;
+        for (lane, d_slot) in diffs.iter_mut().enumerate().take(lanes) {
+            let cycle = block_start + lane;
+            let active = if invariant {
+                true
+            } else if cycle < assert_at {
                 false
             } else {
-                model.active_at(step)
-            }
-        };
-        let eff = if active { bad } else { good };
-        let input = rng.next_u64() & input_mask;
-        let actual = eff.response(state, input);
-        let d = good.response(state, input) ^ actual;
-        let flagged = ced.flags(state, input, actual);
-        let model_flag = ced.masks().iter().any(|&m| (m & d).count_ones() & 1 == 1);
-        if flagged != model_flag && valid[state as usize] && mismatch.is_none() {
-            mismatch = Some(cycle);
-        }
-        if d != 0 && window.is_none() {
-            window = Some(cycle);
-        }
-        if let Some(start) = window {
-            if flagged {
-                let observed = cycle - start + 1;
-                let raw = if observed <= p {
-                    RawOutcome::Detected { latency: observed }
+                let step = cycle - assert_at + 1;
+                if model.dead_after(step) && !activated {
+                    // The transient died without activating an error:
+                    // re-arm it at a later random cycle.
+                    assert_at = cycle + 1 + (rng.next_u64() % 16) as usize;
+                    false
                 } else {
-                    RawOutcome::Late { observed }
-                };
-                return (raw, mismatch);
+                    model.active_at(step)
+                }
+            };
+            let eff = if active { bad } else { good };
+            let input = rng.next_u64() & input_mask;
+            let actual = eff.response(state, input);
+            let d = good.response(state, input) ^ actual;
+            ced.pack_lane(&mut words, lane, state, input, actual);
+            valid_lanes |= u64::from(valid[state as usize]) << lane;
+            *d_slot = d;
+            activated |= d != 0;
+            state = eff.next(state, input);
+        }
+        let flags = ced.flags_words(&words, &mut values);
+
+        // Replay the per-cycle verdict over the lanes in order; a
+        // verdict discards the rest of the look-ahead.
+        for (lane, &d) in diffs.iter().enumerate().take(lanes) {
+            let cycle = block_start + lane;
+            let flagged = (flags >> lane) & 1 == 1;
+            let model_flag = ced.masks().iter().any(|&m| (m & d).count_ones() & 1 == 1);
+            if flagged != model_flag && (valid_lanes >> lane) & 1 == 1 && mismatch.is_none() {
+                mismatch = Some(cycle);
             }
-            if cycle >= start + p - 1 + GRACE {
-                return (RawOutcome::Missed { at_cycle: start }, mismatch);
+            if d != 0 && window.is_none() {
+                window = Some(cycle);
+            }
+            if let Some(start) = window {
+                if flagged {
+                    let observed = cycle - start + 1;
+                    let raw = if observed <= p {
+                        RawOutcome::Detected { latency: observed }
+                    } else {
+                        RawOutcome::Late { observed }
+                    };
+                    return (raw, mismatch);
+                }
+                if cycle >= start + p - 1 + GRACE {
+                    return (RawOutcome::Missed { at_cycle: start }, mismatch);
+                }
             }
         }
-        state = eff.next(state, input);
+        block_start += lanes;
     }
     // No activation, or a window still open at the end of the run with
     // neither verdict reached: no observation either way.

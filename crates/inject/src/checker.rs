@@ -16,18 +16,24 @@
 //! * [`CheckerFaultClass::Benign`] — indistinguishable from the healthy
 //!   checker on every probe (typically redundant logic).
 //!
-//! Probes are evaluated 64 per word with the bit-parallel fault
-//! simulator ([`ced_sim::eval::eval_outputs_faulty`]), so the audit
-//! costs ~`⌈probes/64⌉` netlist passes per fault.
+//! Probes are packed 64 per word ([`CedHardware::pack_lane`]) and the
+//! healthy checker's net values are computed once per batch. A fault
+//! then re-evaluates only its fanout cone — the nets it drives, found
+//! by one forward pass over the topologically ordered gates — against
+//! those fault-free values, so it costs `⌈probes/64⌉` passes over its
+//! cone, and none at all when the cone misses `ERROR`. Faults are
+//! classified on the campaign's pool and folded in fault-list order.
 
 use crate::campaign::CampaignOptions;
 use ced_core::hardware::CedHardware;
 use ced_fsm::encoded::FsmCircuit;
-use ced_sim::eval::eval_outputs_faulty;
+use ced_logic::netlist::Netlist;
+use ced_par::ParExec;
 use ced_sim::fault::{collapsed_faults, Fault};
 use ced_sim::tables::TransitionTables;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::convert::Infallible;
 
 /// Most probe inputs per state; states with more inputs are sampled
 /// deterministically.
@@ -65,14 +71,14 @@ pub struct CheckerCampaign {
 
 /// A packed batch of up to 64 probe vectors for the checker netlist.
 struct ProbeBatch {
-    /// One word per checker input (`r + s + n`).
-    words: Vec<u64>,
     /// Lanes actually populated.
     lanes: u64,
     /// Lanes that are fault-free transitions (`ERROR` must stay low).
     clean: u64,
     /// Healthy checker's `ERROR` per lane.
     pristine: u64,
+    /// Healthy checker's value of every net, one word per net.
+    good: Vec<u64>,
 }
 
 /// Audits every collapsed stuck-at fault of the checker netlist against
@@ -80,10 +86,14 @@ struct ProbeBatch {
 /// inputs per state (sampled deterministically from `options.seed`
 /// beyond the cap), each with the clean response and every single-bit
 /// corruption inside the monitored mask union.
+///
+/// Faults are classified on `pool` and folded in fault-list order, so
+/// the audit is identical at every job count.
 pub fn audit_checker(
     circuit: &FsmCircuit,
     ced: &CedHardware,
     options: &CampaignOptions,
+    pool: &ParExec,
 ) -> CheckerCampaign {
     let batches = build_probes(circuit, ced, options);
     let faults = collapsed_faults(ced.netlist());
@@ -95,49 +105,101 @@ pub fn audit_checker(
         masking_faults: Vec::new(),
         classes: Vec::with_capacity(faults.len()),
     };
-
-    for &fault in &faults {
-        let mut alarms = false;
-        let mut masks_somewhere = false;
-        for batch in &batches {
-            let faulty = eval_outputs_faulty(ced.netlist(), &batch.words, fault)[0] & batch.lanes;
-            // ERROR raised on a fault-free transition.
-            if faulty & batch.clean != 0 {
-                alarms = true;
+    let Ok(()) = pool.for_each_ordered(
+        &faults,
+        |_, &fault| Ok::<_, Infallible>(classify(ced.netlist(), &batches, fault)),
+        |i, class| {
+            let fault = faults[i];
+            match class {
+                CheckerFaultClass::FalseAlarm => campaign.false_alarms += 1,
+                CheckerFaultClass::SelfMasking => {
+                    campaign.self_masking += 1;
+                    campaign.masking_faults.push(fault);
+                }
+                CheckerFaultClass::Benign => campaign.benign += 1,
             }
-            // Healthy checker flags, damaged one stays silent.
-            if batch.pristine & !faulty != 0 {
-                masks_somewhere = true;
-            }
-            if alarms && masks_somewhere {
-                break;
-            }
-        }
-        let class = if alarms {
-            campaign.false_alarms += 1;
-            CheckerFaultClass::FalseAlarm
-        } else if masks_somewhere {
-            campaign.self_masking += 1;
-            campaign.masking_faults.push(fault);
-            CheckerFaultClass::SelfMasking
-        } else {
-            campaign.benign += 1;
-            CheckerFaultClass::Benign
-        };
-        campaign.classes.push((fault, class));
-    }
+            campaign.classes.push((fault, class));
+        },
+    );
     campaign
 }
 
+/// Classifies one checker fault against every probe batch. Only the
+/// fault's fanout cone is re-evaluated, over the batch's fault-free net
+/// values; a cone that misses `ERROR` leaves every batch's answer at
+/// the healthy one, with no evaluation at all.
+fn classify(netlist: &Netlist, batches: &[ProbeBatch], fault: Fault) -> CheckerFaultClass {
+    let gates = netlist.gates();
+    let error = netlist.outputs()[0].index();
+    let (cone, in_cone) = fanout_cone(netlist, fault.net.index());
+    let mut faulty_values = vec![0u64; gates.len()];
+    let mut alarms = false;
+    let mut masks_somewhere = false;
+    for batch in batches {
+        let faulty = if in_cone[error] {
+            faulty_values[fault.net.index()] = fault.forced_word();
+            for &g in &cone[1..] {
+                let gate = gates[g];
+                let [a, b] = gate.fanin.map(|net| {
+                    let i = net.index();
+                    if in_cone[i] {
+                        faulty_values[i]
+                    } else {
+                        batch.good[i]
+                    }
+                });
+                faulty_values[g] = gate.kind.eval(a, b);
+            }
+            faulty_values[error] & batch.lanes
+        } else {
+            batch.pristine
+        };
+        // ERROR raised on a fault-free transition.
+        if faulty & batch.clean != 0 {
+            alarms = true;
+        }
+        // Healthy checker flags, damaged one stays silent.
+        if batch.pristine & !faulty != 0 {
+            masks_somewhere = true;
+        }
+        if alarms && masks_somewhere {
+            break;
+        }
+    }
+    if alarms {
+        CheckerFaultClass::FalseAlarm
+    } else if masks_somewhere {
+        CheckerFaultClass::SelfMasking
+    } else {
+        CheckerFaultClass::Benign
+    }
+}
+
+/// The nets `net` drives, directly or transitively, in topological
+/// order starting with `net` itself, plus a membership mask. Gates are
+/// topologically ordered, so one forward pass from `net` finds them.
+fn fanout_cone(netlist: &Netlist, net: usize) -> (Vec<usize>, Vec<bool>) {
+    let gates = netlist.gates();
+    let mut in_cone = vec![false; gates.len()];
+    in_cone[net] = true;
+    let mut cone = vec![net];
+    for (i, g) in gates.iter().enumerate().skip(net + 1) {
+        if g.fanin[..g.kind.arity()].iter().any(|f| in_cone[f.index()]) {
+            in_cone[i] = true;
+            cone.push(i);
+        }
+    }
+    (cone, in_cone)
+}
+
 /// Builds the packed probe batches, precomputing the healthy checker's
-/// responses word-parallel.
+/// net values word-parallel.
 fn build_probes(
     circuit: &FsmCircuit,
     ced: &CedHardware,
     options: &CampaignOptions,
 ) -> Vec<ProbeBatch> {
     let r = circuit.num_inputs();
-    let s = circuit.state_bits();
     let n = circuit.total_bits();
     let union: u64 = ced.masks().iter().fold(0, |a, &m| a | m);
     let good = TransitionTables::good(circuit);
@@ -167,7 +229,7 @@ fn build_probes(
 
     let mut batches = Vec::with_capacity(probes.len().div_ceil(64));
     for chunk in probes.chunks(64) {
-        let mut words = vec![0u64; r + s + n];
+        let mut words = ced.lane_words();
         let mut lanes = 0u64;
         let mut clean = 0u64;
         for (lane, &(state, input, actual, is_clean)) in chunk.iter().enumerate() {
@@ -175,28 +237,20 @@ fn build_probes(
             if is_clean {
                 clean |= 1 << lane;
             }
-            // Packed layout mirrors CedHardware: inputs, then state,
-            // then the monitored next-state bits.
-            let fields = [(input, 0, r), (state, r, s), (actual, r + s, n)];
-            for (value, base, width) in fields {
-                for (bit, word) in words[base..base + width].iter_mut().enumerate() {
-                    if (value >> bit) & 1 == 1 {
-                        *word |= 1 << lane;
-                    }
-                }
-            }
+            ced.pack_lane(&mut words, lane, state, input, actual);
         }
-        let pristine = ced.netlist().eval_outputs_words(&words)[0] & lanes;
+        let mut good = Vec::new();
+        let pristine = ced.flags_words(&words, &mut good) & lanes;
         debug_assert_eq!(
             pristine & clean,
             0,
             "healthy checker false-alarms on a fault-free probe"
         );
         batches.push(ProbeBatch {
-            words,
             lanes,
             clean,
             pristine,
+            good,
         });
     }
     batches
@@ -226,7 +280,7 @@ mod tests {
     #[test]
     fn every_fault_is_classified_once() {
         let (c, ced) = setup();
-        let audit = audit_checker(&c, &ced, &CampaignOptions::default());
+        let audit = audit_checker(&c, &ced, &CampaignOptions::default(), &ParExec::serial());
         assert_eq!(
             audit.injected,
             audit.false_alarms + audit.self_masking + audit.benign
@@ -238,7 +292,7 @@ mod tests {
     #[test]
     fn error_output_polarities_land_in_the_right_classes() {
         let (c, ced) = setup();
-        let audit = audit_checker(&c, &ced, &CampaignOptions::default());
+        let audit = audit_checker(&c, &ced, &CampaignOptions::default(), &ParExec::serial());
         let error_net = ced.netlist().outputs()[0];
         let class_of = |f: Fault| {
             audit
@@ -263,8 +317,8 @@ mod tests {
     #[test]
     fn audit_is_deterministic() {
         let (c, ced) = setup();
-        let a = audit_checker(&c, &ced, &CampaignOptions::default());
-        let b = audit_checker(&c, &ced, &CampaignOptions::default());
+        let a = audit_checker(&c, &ced, &CampaignOptions::default(), &ParExec::serial());
+        let b = audit_checker(&c, &ced, &CampaignOptions::default(), &ParExec::serial());
         assert_eq!(a, b);
     }
 }

@@ -64,23 +64,19 @@ pub fn eval_outputs_faulty(netlist: &Netlist, inputs: &[u64], fault: Fault) -> V
         .collect()
 }
 
-/// Single-pattern faulty evaluation (tests and examples).
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` differs from the netlist's input count.
-pub fn eval_single_faulty(netlist: &Netlist, inputs: &[bool], fault: Fault) -> Vec<bool> {
-    let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
-    eval_outputs_faulty(netlist, &words, fault)
-        .into_iter()
-        .map(|w| w & 1 == 1)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ced_logic::netlist::{NetId, NetlistBuilder};
+
+    /// One pattern, packed into lane 0 of the word-parallel evaluator.
+    fn eval_single_faulty(netlist: &Netlist, inputs: &[bool], fault: Fault) -> Vec<bool> {
+        let words: Vec<u64> = inputs.iter().map(|&b| u64::from(b)).collect();
+        eval_outputs_faulty(netlist, &words, fault)
+            .into_iter()
+            .map(|w| w & 1 == 1)
+            .collect()
+    }
 
     fn and_netlist() -> (Netlist, NetId, NetId, NetId) {
         let mut b = NetlistBuilder::new(2);

@@ -10,6 +10,7 @@ use ced_core::pipeline::{
 };
 use ced_core::search::{minimize_parity_functions, CedOptions};
 use ced_core::synthesize_ced;
+use ced_fsm::generator::{generate, scaled_workload};
 use ced_fsm::suite;
 use ced_inject::{run_campaign, CampaignOptions, CheckerFaultClass};
 use ced_par::ParExec;
@@ -193,4 +194,90 @@ fn inject_search_stops_on_a_cancel_after_the_tensor() {
         "the search must observe the cancel, not stage `{stage}`"
     );
     assert!(!i.resumable, "nothing resumes an ops-level interrupt");
+}
+
+#[test]
+fn gen3x_inject_op_ticks_and_counts_are_pinned() {
+    // One `ced inject --latency 2` op on `ced gen --scale 3 --seed 3`
+    // at pool width 2: the budget's tick accounting and every outcome
+    // and checker-class count are pinned, so a faster campaign must
+    // charge the same ticks and judge every fault the same way.
+    let fsm = generate(&scaled_workload(3, 3));
+    let mut request = OpRequest::new(OpKind::Inject, "");
+    request.latency = 2;
+    let budget = Budget::new();
+    let injection =
+        ops::inject(&fsm, &request, &budget, &ParExec::new(2), None).expect("campaign runs");
+    let m = &injection.report.machine;
+    let outcomes = [
+        m.injected,
+        m.detectable,
+        m.detected_within_bound,
+        m.windfall_detections,
+        m.expected_escapes,
+        m.quiet,
+        m.disagreements.len(),
+    ];
+    let checker = injection.report.checker.as_ref().expect("audit requested");
+    let classes = [
+        checker.injected,
+        checker.false_alarms,
+        checker.self_masking,
+        checker.benign,
+    ];
+    assert_eq!(budget.ticks(), 22_001);
+    assert_eq!(outcomes, [700, 696, 696, 0, 0, 4, 0]);
+    assert_eq!(m.latency_histogram, [0, 696, 0]);
+    assert_eq!(classes, [638, 627, 5, 6]);
+}
+
+#[test]
+fn a_64_bit_response_injects_and_certifies() {
+    // 63 outputs and one state bit fill the 64-bit response word
+    // exactly (`MAX_RESPONSE_BITS`), the widest machine the analyses
+    // accept: inject and certify must run without a shift overflow,
+    // and the checker co-simulation must corrupt more than the zero
+    // pattern.
+    let rows = [
+        ("0", "a", "a", "10".repeat(31) + "1"),
+        ("1", "a", "b", "01".repeat(31) + "0"),
+        ("0", "b", "b", "1".repeat(63)),
+        ("1", "b", "a", "0".repeat(62) + "1"),
+    ];
+    let mut kiss2 = String::from(".i 1\n.o 63\n.s 2\n.r a\n");
+    for (input, from, to, out) in rows {
+        kiss2.push_str(&format!("{input} {from} {to} {out}\n"));
+    }
+    kiss2.push_str(".e\n");
+    let fsm = ced_fsm::kiss::parse(&kiss2).expect("parses");
+
+    let mut request = OpRequest::new(OpKind::Inject, &kiss2);
+    request.latency = 1;
+    let injection = ops::inject(&fsm, &request, &Budget::new(), &ParExec::new(2), None)
+        .expect("a 64-bit response injects");
+    assert!(injection.report.is_clean(), "{}", injection.report.render());
+    assert!(injection.report.machine.injected > 0);
+
+    let mut request = OpRequest::new(OpKind::Certify, &kiss2);
+    request.latencies = vec![1];
+    let cert = ops::certify(&fsm, &request, &Budget::new(), &ParExec::new(2), None)
+        .expect("a 64-bit response certifies");
+    assert_eq!(cert.verdict(), ced_cert::Verdict::Certified);
+    let cosim = cert
+        .latencies
+        .iter()
+        .flat_map(|l| l.stages.iter())
+        .find_map(|s| match s {
+            ced_cert::StageOutcome::Certified(c) if c.stage == ced_cert::Stage::Checker => Some(c),
+            _ => None,
+        })
+        .expect("the checker co-simulation certifies");
+    // 4 transitions × 2⁶⁴ corruptions do not fit the pattern budget,
+    // so the co-simulation samples, past the 4 zero-corruption probes.
+    assert!(
+        cosim.detail.starts_with("sampled co-simulation"),
+        "{}",
+        cosim.detail
+    );
+    assert!(cosim.checked > 4, "{}", cosim.detail);
 }
