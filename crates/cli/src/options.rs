@@ -46,9 +46,9 @@ pub struct Parsed {
     pub jobs: usize,
     /// `--store DIR`: content-addressed artifact store directory;
     /// memoizes the synth, whole-table and per-fault-cone tensor
-    /// (tensor/tensor-frag/tensor-comp), cover and search stages
-    /// across runs. Never
-    /// changes results — a cache hit is byte-identical to a recompute.
+    /// (tensor/tensor-frag), cover and search stages across runs.
+    /// Never changes results — a cache hit is byte-identical to a
+    /// recompute.
     pub store: Option<String>,
     /// `--baseline <file>` (check only): a previous revision of the
     /// machine; seeds incremental re-analysis (per-fault-cone fragment

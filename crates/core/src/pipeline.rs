@@ -22,7 +22,7 @@ use ced_logic::MinimizeOptions;
 use ced_par::ParExec;
 use ced_runtime::{fnv1a64, Budget, ByteReader, ByteWriter, CheckpointError, Interrupted};
 use ced_sim::detect::{
-    check_machine_width, fragment_context_bytes, BuildCheckpoint, BuildControl, DeltaSeed,
+    check_machine_width, fragment_context_hash, BuildCheckpoint, BuildControl, DeltaSeed,
     DetectError, DetectOptions, DetectStats, DetectabilityTable, InputModel, Semantics,
 };
 use ced_sim::fault::{all_faults, collapsed_faults, Fault, FaultModel};
@@ -677,8 +677,8 @@ pub struct PipelineControl<'a> {
     /// change wall-clock, not results.
     pub pool: Option<&'a ParExec>,
     /// Content-addressed artifact store memoizing the `synth`, `tensor`
-    /// (whole tables plus per-fault-cone `tensor-frag`/`tensor-comp`
-    /// records) and `search` stages. Like `pool`, never part of any
+    /// (whole tables plus per-fault-cone `tensor-frag` fragments) and
+    /// `search` stages. Like `pool`, never part of any
     /// fingerprint: a cache hit returns bytes a prior run proved
     /// identical to a recompute, so presence or absence of the store
     /// cannot change results.
@@ -996,7 +996,7 @@ pub fn delta_seed(
         }
     }
     Some(DeltaSeed {
-        old_context: fragment_context_bytes(&old_good, detect),
+        old_context: fragment_context_hash(&old_good, detect),
         changed_codes,
     })
 }

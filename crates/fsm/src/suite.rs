@@ -38,9 +38,7 @@ pub struct CircuitSpec {
 impl CircuitSpec {
     /// Instantiates the analogue machine (deterministic per name).
     pub fn build(&self) -> Fsm {
-        let seed = self.name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        });
+        let seed = ced_runtime::fnv1a64(self.name.as_bytes());
         generate(&GeneratorConfig {
             name: self.name.to_string(),
             num_inputs: self.inputs,

@@ -54,6 +54,6 @@ pub const EPS: f64 = 1e-9;
 
 pub use problem::{Constraint, ConstraintOp, LinearProgram, Sense, VarId};
 pub use rational::{check_feasibility_exact, Rat64, RatError, RationalVerdict, SlackReport};
-pub use rounding::{round_binary, round_to_mask, round_until, round_until_budgeted};
+pub use rounding::{round_binary, round_to_mask};
 pub use simplex::{solve, solve_budgeted, LpSolution, SolveError};
 pub use sparse::{solve_budgeted_sparse, solve_sparse};

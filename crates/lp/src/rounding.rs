@@ -18,7 +18,6 @@
 //! assert!(bits[1]);
 //! ```
 
-use ced_runtime::{Budget, Interrupted};
 use rand::Rng;
 
 /// Rounds a fractional 0–1 vector to booleans: entry `x` becomes `true`
@@ -54,59 +53,6 @@ pub fn round_to_mask<R: Rng + ?Sized>(fractional: &[f64], rng: &mut R) -> u64 {
         .into_iter()
         .enumerate()
         .fold(0u64, |m, (i, b)| if b { m | (1 << i) } else { m })
-}
-
-/// Repeatedly rounds `fractional` until `accept` approves a sample or
-/// `max_attempts` is exhausted; returns the accepted sample and the
-/// number of attempts used.
-pub fn round_until<R, F>(
-    fractional: &[f64],
-    rng: &mut R,
-    max_attempts: usize,
-    mut accept: F,
-) -> Option<(Vec<bool>, usize)>
-where
-    R: Rng + ?Sized,
-    F: FnMut(&[bool]) -> bool,
-{
-    for attempt in 1..=max_attempts {
-        let sample = round_binary(fractional, rng);
-        if accept(&sample) {
-            return Some((sample, attempt));
-        }
-    }
-    None
-}
-
-/// [`round_until`] under a [`Budget`]: one work unit is charged per
-/// rounding attempt (acceptance checks can be expensive — each one
-/// replays fault coverage) and the budget is checked before each
-/// attempt.
-///
-/// # Errors
-///
-/// The budget's interruption. Rounding attempts consume the RNG, so an
-/// interrupted run is restartable but not resumable mid-stream; callers
-/// reseed on retry.
-pub fn round_until_budgeted<R, F>(
-    fractional: &[f64],
-    rng: &mut R,
-    max_attempts: usize,
-    budget: &Budget,
-    mut accept: F,
-) -> Result<Option<(Vec<bool>, usize)>, Interrupted>
-where
-    R: Rng + ?Sized,
-    F: FnMut(&[bool]) -> bool,
-{
-    for attempt in 1..=max_attempts {
-        budget.tick(1, "rounding:attempt")?;
-        let sample = round_binary(fractional, rng);
-        if accept(&sample) {
-            return Ok(Some((sample, attempt)));
-        }
-    }
-    Ok(None)
 }
 
 #[cfg(test)]
@@ -150,22 +96,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let m = round_to_mask(&[1.0, 0.0, 1.0], &mut rng);
         assert_eq!(m, 0b101);
-    }
-
-    #[test]
-    fn round_until_accepts_eventually() {
-        let mut rng = StdRng::seed_from_u64(5);
-        // Accept only all-ones; probability 1/8 per attempt.
-        let got = round_until(&[0.5, 0.5, 0.5], &mut rng, 1000, |s| s.iter().all(|&b| b));
-        let (sample, attempts) = got.expect("should succeed within 1000 tries");
-        assert!(sample.iter().all(|&b| b));
-        assert!(attempts >= 1);
-    }
-
-    #[test]
-    fn round_until_gives_up() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let got = round_until(&[0.5], &mut rng, 10, |_| false);
-        assert!(got.is_none());
     }
 }

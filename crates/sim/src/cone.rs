@@ -4,9 +4,9 @@
 //! count and testability — is a pure function of three things: the good
 //! machine's transition tables, the enumeration options, and the
 //! *faulty output functions* (response and next-state bits of the
-//! faulted netlist). The first two are hashed into the shared fragment
-//! context ([`crate::detect::fragment_context_bytes`]); this module
-//! hashes the third.
+//! faulted netlist). The first two are hashed once per build into the
+//! shared fragment context ([`crate::detect::fragment_context_hash`]);
+//! this module hashes the third.
 //!
 //! The cone key of a fault is a Merkle-style hash over exactly the
 //! output slots its fault cone reaches: for each output slot in the

@@ -41,9 +41,10 @@ use crate::tables::{TransitionTables, MAX_ADDRESS_BITS, MAX_RESPONSE_BITS};
 use ced_fsm::encoded::FsmCircuit;
 use ced_par::ParExec;
 use ced_runtime::{
-    fnv1a64, Budget, ByteReader, ByteWriter, CheckpointError, InterruptKind, Interrupted,
+    fnv1a64, fnv1a64_extend, Budget, ByteReader, ByteWriter, CheckpointError, InterruptKind,
+    Interrupted,
 };
-use ced_store::{CoverageMatrix, Store, TENSOR_COMP_STAGE, TENSOR_FRAG_STAGE};
+use ced_store::{CoverageMatrix, Store, TENSOR_FRAG_STAGE};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
@@ -634,12 +635,12 @@ pub struct BuildControl<'a> {
     /// Artifact store for the tensor stage, at two granularities:
     /// whole-table `(table, stats)` artifacts under [`TENSOR_STAGE`],
     /// and per-fault-cone fragments under
-    /// [`ced_store::TENSOR_FRAG_STAGE`] with composition digests under
-    /// [`ced_store::TENSOR_COMP_STAGE`]. Each requested latency is
+    /// [`ced_store::TENSOR_FRAG_STAGE`]. Each requested latency is
     /// keyed independently, so a prior p-sweep serves any subset of
     /// its bounds; because the enumeration is deterministic, a hit —
     /// whole table or composed from fragments — is byte-identical to
-    /// a rebuild.
+    /// a rebuild, and a composed table is checked byte for byte
+    /// against the stored whole-table artifact.
     pub store: Option<&'a Store>,
     /// Baseline seed for cross-machine fragment promotion: lets a
     /// store-backed build of an *edited* machine reuse the unedited
@@ -674,17 +675,17 @@ impl<'a> BuildControl<'a> {
 /// avoids every changed code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaSeed {
-    /// The baseline machine's [`fragment_context_bytes`].
-    pub old_context: Vec<u8>,
+    /// The baseline machine's [`fragment_context_hash`].
+    pub old_context: u64,
     /// Codes whose good response row differs between the baseline and
     /// the edited machine, sorted ascending.
     pub changed_codes: Vec<u64>,
 }
 
 /// Store stage name for per-latency whole-table `(table, stats)`
-/// tensor artifacts. Per-fault fragments and whole-table composition
-/// digests live under [`ced_store::TENSOR_FRAG_STAGE`] and
-/// [`ced_store::TENSOR_COMP_STAGE`].
+/// tensor artifacts: the one per-bound record, served directly and the
+/// reference every table composed from per-fault fragments
+/// ([`ced_store::TENSOR_FRAG_STAGE`]) must equal.
 pub const TENSOR_STAGE: &str = "tensor";
 
 impl DetectabilityTable {
@@ -775,62 +776,59 @@ impl DetectabilityTable {
                 })?;
         }
         let good = TransitionTables::good(circuit);
-        let base_bytes = fingerprint_base_bytes(&good, faults, options);
-        let fingerprint = build_fingerprint_from_base(&base_bytes, latencies);
+        let context = fragment_context_hash(&good, options);
+        let base = fingerprint_base_hash(context, faults);
+        let fingerprint = build_fingerprint_from_base(base, latencies);
         let tensor_fps: Vec<u64> = latencies
             .iter()
-            .map(|&p| tensor_fingerprint(&base_bytes, p))
+            .map(|&p| tensor_fingerprint(base, p))
             .collect();
         let delta = control.delta.take();
 
-        // Tensor stage replay: each latency's (table, stats) pair is a
-        // pure function of (good tables, faults, options-sans-latency,
-        // p), so a prior build at any superset of bounds serves this
+        // Tensor stage: one lookup of each bound's whole-table
+        // artifact. Each latency's (table, stats) pair is a pure
+        // function of (good tables, faults, options-sans-latency, p),
+        // so a prior build at any superset of bounds serves this
         // request. All requested bounds must hit — the enumeration
         // below computes every bound jointly in one pass over faults,
-        // so a partial hit saves nothing. Delta-seeded builds skip the
-        // whole-table probe and go fragments-first: promotion is what
-        // publishes the edited machine's fragments, and the fragment
-        // counters are the observable evidence of reuse.
-        if delta.is_none() {
-            if let Some(store) = control.store {
-                let mut cached = Vec::with_capacity(latencies.len());
-                for (&p, &fp) in latencies.iter().zip(&tensor_fps) {
-                    let hit = store.get_typed(TENSOR_STAGE, fp, |bytes| {
-                        let mut r = ByteReader::new(bytes);
-                        let table = DetectabilityTable::read(&mut r)?;
-                        let st = DetectStats::read(&mut r)?;
-                        r.expect_end()?;
-                        if table.latency != p
-                            || table.num_bits != n
-                            || table.reduced != options.reduce
-                        {
-                            return Err(CheckpointError::Corrupt(
-                                "tensor artifact does not match the request".into(),
-                            ));
-                        }
-                        Ok((table, st))
-                    });
-                    match hit {
-                        Some(pair) => cached.push(pair),
-                        None => {
-                            cached.clear();
-                            break;
-                        }
+        // so a partial hit saves nothing. Delta-seeded builds never
+        // serve the whole table: promotion is what publishes the edited
+        // machine's fragments, and the fragment counters are the
+        // observable evidence of reuse. Whatever is not served is the
+        // reference a composed table must equal byte for byte.
+        let mut references: Vec<Option<Vec<u8>>> = vec![None; latencies.len()];
+        if let Some(store) = control.store {
+            let mut cached = Vec::with_capacity(latencies.len());
+            for ((&p, &fp), reference) in latencies.iter().zip(&tensor_fps).zip(&mut references) {
+                let hit = store.get_typed(TENSOR_STAGE, fp, |bytes| {
+                    let mut r = ByteReader::new(bytes);
+                    let table = DetectabilityTable::read(&mut r)?;
+                    let st = DetectStats::read(&mut r)?;
+                    r.expect_end()?;
+                    if table.latency != p || table.num_bits != n || table.reduced != options.reduce
+                    {
+                        return Err(CheckpointError::Corrupt(
+                            "tensor artifact does not match the request".into(),
+                        ));
                     }
+                    Ok((bytes.to_vec(), (table, st)))
+                });
+                if let Some((bytes, pair)) = hit {
+                    *reference = Some(bytes);
+                    cached.push(pair);
                 }
-                if cached.len() == latencies.len() {
-                    return Ok(cached);
-                }
+            }
+            if delta.is_none() && cached.len() == latencies.len() {
+                return Ok(cached);
             }
         }
 
         // Per-fault fragment machinery, engaged whenever a store can
-        // serve or receive fragments: the context bytes every fragment
-        // key shares, each fault's cone key, and the optional
+        // serve or receive fragments: the context state every fragment
+        // key folds onto, each fault's cone key, and the optional
         // cross-machine promotion seed.
         let frag = control.store.map(|_| FragContext {
-            context: fragment_context_bytes(&good, options),
+            context,
             cone_keys: crate::cone::cone_keys(circuit.netlist(), faults, options.fault_model),
             delta,
         });
@@ -843,16 +841,18 @@ impl DetectabilityTable {
             &good,
             fingerprint,
             &tensor_fps,
+            &mut references,
             frag.as_ref(),
             &mut control,
             true,
         )? {
             FragmentOutcome::Done(results) => Ok(results),
             FragmentOutcome::CompositionMismatch => {
-                // Some stored artifact was corrupt in a way only the
-                // whole-table digest could catch. Every implicated key
-                // has been dropped (corruption degrades to a miss);
-                // rebuild monolithically and re-publish.
+                // A table composed from stored fragments disagreed with
+                // its stored whole-table artifact: one side is corrupt
+                // and there is no way to tell which, so both have been
+                // dropped (corruption degrades to a miss). Rebuild
+                // monolithically and re-publish.
                 match Self::enumerate_faults(
                     circuit,
                     faults,
@@ -861,13 +861,14 @@ impl DetectabilityTable {
                     &good,
                     fingerprint,
                     &tensor_fps,
+                    &mut references,
                     frag.as_ref(),
                     &mut control,
                     false,
                 )? {
                     FragmentOutcome::Done(results) => Ok(results),
                     FragmentOutcome::CompositionMismatch => unreachable!(
-                        "a build without fragment reads treats its own digest as authoritative"
+                        "a build without fragment reads is authoritative over its references"
                     ),
                 }
             }
@@ -877,9 +878,10 @@ impl DetectabilityTable {
     /// One enumeration pass over the fault list: probes stored
     /// per-fault fragments (when `read_fragments` and a store is
     /// attached), enumerates the rest, absorbs everything in fault
-    /// order, and verifies each composed table against its recorded
-    /// digest. Returns [`FragmentOutcome::CompositionMismatch`] when a
-    /// composed table disagrees with a recorded digest; the caller
+    /// order, and compares each composed table with its stored
+    /// whole-table artifact (`references`, per bound). Returns
+    /// [`FragmentOutcome::CompositionMismatch`] when a table composed
+    /// from stored fragments disagrees with its reference; the caller
     /// retries without fragment reads once the implicated keys are
     /// dropped.
     #[allow(clippy::too_many_arguments)]
@@ -891,6 +893,7 @@ impl DetectabilityTable {
         good: &TransitionTables,
         fingerprint: u64,
         tensor_fps: &[u64],
+        references: &mut [Option<Vec<u8>>],
         frag: Option<&FragContext>,
         control: &mut BuildControl<'_>,
         read_fragments: bool,
@@ -954,7 +957,7 @@ impl DetectabilityTable {
                     let cone_key = fc.cone_keys[fi];
                     let mut hits: Vec<Option<TensorFragment>> = Vec::with_capacity(np);
                     for &p in latencies {
-                        let key = fragment_fingerprint(&fc.context, cone_key, p);
+                        let key = fragment_fingerprint(fc.context, cone_key, p);
                         let mut hit = store.get_typed(TENSOR_FRAG_STAGE, key, |bytes| {
                             TensorFragment::from_bytes(bytes, p, options.reduce)
                         });
@@ -1159,8 +1162,7 @@ impl DetectabilityTable {
                         footprint_overflow: overflow,
                     };
                     if let (Some(store), Some(fc)) = (control.store, frag) {
-                        let key =
-                            fragment_fingerprint(&fc.context, fc.cone_keys[fi], latencies[pi]);
+                        let key = fragment_fingerprint(fc.context, fc.cone_keys[fi], latencies[pi]);
                         store.put_artifact(TENSOR_FRAG_STAGE, key, &fragment.to_bytes());
                     }
                     resolved[pi] = Some(fragment);
@@ -1169,8 +1171,8 @@ impl DetectabilityTable {
             // Absorb in fault order — the identical path whether a
             // fragment was enumerated just now or served by the store,
             // so warm and cold builds walk byte-identical collector
-            // states (the whole-table digest check below then proves
-            // it against past monolithic runs).
+            // states (the whole-table comparison below then proves it
+            // against past monolithic runs).
             for (pi, fragment) in resolved.iter().enumerate() {
                 let fragment = fragment.as_ref().expect("every bound resolved");
                 stats[pi].activations += fragment.activations;
@@ -1213,54 +1215,43 @@ impl DetectabilityTable {
             })
             .collect();
         if let Some(store) = control.store {
-            // Composition check and publication, two-phase: verify
-            // every bound's digest before publishing anything — a
-            // mismatching pass must not record digests derived from
-            // artifacts it is about to declare corrupt.
-            let mut publish: Vec<(Vec<u8>, u64, Option<u64>)> = Vec::with_capacity(np);
+            // Composition check and publication, two-phase: compare
+            // every bound with its reference before publishing anything
+            // — a mismatching pass must not publish tables derived from
+            // fragments it is about to declare corrupt.
+            let mut publish: Vec<(u64, Vec<u8>)> = Vec::with_capacity(np);
             let mut mismatch = false;
-            for ((table, st), &fp) in results.iter().zip(tensor_fps) {
+            for (((table, st), &fp), reference) in
+                results.iter().zip(tensor_fps).zip(references.iter_mut())
+            {
                 let mut w = ByteWriter::new();
                 table.write(&mut w);
                 st.write(&mut w);
                 let bytes = w.finish();
-                let digest = fnv1a64(&bytes);
-                let recorded = store.get_typed(TENSOR_COMP_STAGE, fp, |b| {
-                    let mut rd = ByteReader::new(b);
-                    let d = rd.u64()?;
-                    rd.expect_end()?;
-                    Ok(d)
-                });
-                match recorded {
-                    Some(expected) if expected != digest => {
-                        // The composed table disagrees with the digest
-                        // a prior build recorded: one side is corrupt
-                        // and there is no way to tell which. Drop the
-                        // record; the caller drops the fragments.
-                        store.note_corrupt(TENSOR_COMP_STAGE, fp);
-                        mismatch = true;
-                    }
-                    Some(_) => publish.push((bytes, fp, None)),
-                    None => publish.push((bytes, fp, Some(digest))),
+                if reference.as_ref() == Some(&bytes) {
+                    continue;
                 }
+                if reference.take().is_some() {
+                    // The table disagrees with the stored artifact:
+                    // drop the artifact (and below, on a pass that read
+                    // fragments, the fragments it was composed from).
+                    store.note_corrupt(TENSOR_STAGE, fp);
+                    mismatch = true;
+                }
+                publish.push((fp, bytes));
             }
-            if mismatch {
-                if read_fragments {
-                    for &key in &absorbed_keys {
-                        store.note_corrupt(TENSOR_FRAG_STAGE, key);
-                    }
-                    return Ok(FragmentOutcome::CompositionMismatch);
+            if mismatch && read_fragments {
+                for &key in &absorbed_keys {
+                    store.note_corrupt(TENSOR_FRAG_STAGE, key);
                 }
-                // No fragments were read, so this monolithic build is
-                // authoritative and the stale digests are already
-                // dropped; the next store-backed build re-records
-                // cleanly. Results stand.
-                return Ok(FragmentOutcome::Done(results));
+                return Ok(FragmentOutcome::CompositionMismatch);
             }
-            for (bytes, fp, record) in publish {
-                if let Some(digest) = record {
-                    store.put_artifact(TENSOR_COMP_STAGE, fp, &digest.to_le_bytes());
-                }
+            // Reached with no mismatch, or on a pass that read no
+            // fragments. Such a pass enumerated every fault itself from
+            // fault 0 (the first pass consumed any resume checkpoint),
+            // so it is authoritative: its tables replace any dropped
+            // reference.
+            for (fp, bytes) in publish {
                 store.put_artifact(TENSOR_STAGE, fp, &bytes);
             }
         }
@@ -1638,71 +1629,64 @@ fn write_fragment_context(w: &mut ByteWriter, good: &TransitionTables, options: 
     }
 }
 
-/// Canonical context bytes for the machine/options half of every
-/// tensor-layer key. `core::pipeline`'s machine-diff front-end computes
-/// this for the *baseline* machine to name the fragments an edited
-/// machine may promote ([`DeltaSeed::old_context`]).
-pub fn fragment_context_bytes(good: &TransitionTables, options: &DetectOptions) -> Vec<u8> {
+/// FNV-1a state of the canonical context bytes: the machine/options
+/// half of every tensor-layer key. The context is hashed once per
+/// build and every key folds its suffix onto this state
+/// ([`fnv1a64_extend`]), which yields the hash of the concatenated
+/// preimage. `core::pipeline`'s machine-diff front-end computes this
+/// for the *baseline* machine to name the fragments an edited machine
+/// may promote ([`DeltaSeed::old_context`]).
+pub fn fragment_context_hash(good: &TransitionTables, options: &DetectOptions) -> u64 {
     let mut w = ByteWriter::new();
     write_fragment_context(&mut w, good, options);
-    w.finish()
+    fnv1a64(&w.finish())
 }
 
-/// Canonical bytes of everything a whole-table build depends on
-/// *except* the latency bounds: the fragment context plus the fault
-/// list. Checkpoint fingerprints append the full latency list
-/// ([`build_fingerprint_from_base`]); store keys append a single bound
-/// ([`tensor_fingerprint`]) so a p-sweep's artifacts serve any later
-/// subset of its bounds.
-fn fingerprint_base_bytes(
-    good: &TransitionTables,
-    faults: &[Fault],
-    options: &DetectOptions,
-) -> Vec<u8> {
+/// FNV-1a state of everything a whole-table build depends on *except*
+/// the latency bounds: the fragment context (as its state `context`)
+/// plus the fault list. Checkpoint fingerprints append the full latency
+/// list ([`build_fingerprint_from_base`]); store keys append a single
+/// bound ([`tensor_fingerprint`]) so a p-sweep's artifacts serve any
+/// later subset of its bounds.
+fn fingerprint_base_hash(context: u64, faults: &[Fault]) -> u64 {
     let mut w = ByteWriter::new();
-    write_fragment_context(&mut w, good, options);
     w.usize(faults.len());
     for f in faults {
         w.usize(f.net.index());
         w.bool(f.stuck_at);
     }
-    w.finish()
+    fnv1a64_extend(context, &w.finish())
 }
 
 /// FNV fingerprint binding a [`BuildCheckpoint`] to its inputs.
 /// Anything that could make a resumed build diverge from the original
 /// run is folded in.
-fn build_fingerprint_from_base(base: &[u8], latencies: &[usize]) -> u64 {
-    let mut bytes = base.to_vec();
-    bytes.extend_from_slice(&(latencies.len() as u64).to_le_bytes());
+fn build_fingerprint_from_base(base: u64, latencies: &[usize]) -> u64 {
+    let mut h = fnv1a64_extend(base, &(latencies.len() as u64).to_le_bytes());
     for &p in latencies {
-        bytes.extend_from_slice(&(p as u64).to_le_bytes());
+        h = fnv1a64_extend(h, &(p as u64).to_le_bytes());
     }
-    fnv1a64(&bytes)
+    h
 }
 
 /// Store key for one latency bound's `(table, stats)` artifact.
-fn tensor_fingerprint(base: &[u8], latency: usize) -> u64 {
-    let mut bytes = base.to_vec();
-    bytes.extend_from_slice(b"tensor-latency");
-    bytes.extend_from_slice(&(latency as u64).to_le_bytes());
-    fnv1a64(&bytes)
+fn tensor_fingerprint(base: u64, latency: usize) -> u64 {
+    let h = fnv1a64_extend(base, b"tensor-latency");
+    fnv1a64_extend(h, &(latency as u64).to_le_bytes())
 }
 
 /// Store key for one fault cone's fragment at one latency bound.
-fn fragment_fingerprint(context: &[u8], cone_key: u64, latency: usize) -> u64 {
-    let mut bytes = context.to_vec();
-    bytes.extend_from_slice(b"tensor-frag");
-    bytes.extend_from_slice(&cone_key.to_le_bytes());
-    bytes.extend_from_slice(&(latency as u64).to_le_bytes());
-    fnv1a64(&bytes)
+fn fragment_fingerprint(context: u64, cone_key: u64, latency: usize) -> u64 {
+    let h = fnv1a64_extend(context, b"tensor-frag");
+    let h = fnv1a64_extend(h, &cone_key.to_le_bytes());
+    fnv1a64_extend(h, &(latency as u64).to_le_bytes())
 }
 
 /// Per-(fault cone, latency bound) store context carried through one
 /// [`DetectabilityTable::build_many_controlled`] call.
 struct FragContext {
-    /// [`fragment_context_bytes`] of the machine under analysis.
-    context: Vec<u8>,
+    /// [`fragment_context_hash`] of the machine under analysis.
+    context: u64,
     /// [`crate::cone::cone_keys`] of the fault list, in fault order.
     cone_keys: Vec<u64>,
     /// Present when this build was seeded by a machine diff: enables
@@ -1714,9 +1698,9 @@ struct FragContext {
 enum FragmentOutcome {
     /// The per-bound `(table, stats)` pairs, in latency order.
     Done(Vec<(DetectabilityTable, DetectStats)>),
-    /// A stored composition digest disagreed with the table composed
-    /// from fragments. The poisoned artifacts have been dropped; the
-    /// caller must re-run without fragment reads.
+    /// A table composed from stored fragments disagreed with the stored
+    /// whole-table artifact. Both sides have been dropped; the caller
+    /// must re-run without fragment reads.
     CompositionMismatch,
 }
 
@@ -1891,7 +1875,7 @@ fn promote_fragment(
     reduce: bool,
     new_key: u64,
 ) -> Option<TensorFragment> {
-    let old_key = fragment_fingerprint(&seed.old_context, cone_key, latency);
+    let old_key = fragment_fingerprint(seed.old_context, cone_key, latency);
     let frag = store.get_typed(TENSOR_FRAG_STAGE, old_key, |bytes| {
         TensorFragment::from_bytes(bytes, latency, reduce)
     })?;
@@ -2263,12 +2247,12 @@ mod tests {
             let mut control = BuildControl::new(&budget);
             control.store = Some(&store);
             DetectabilityTable::build_many_controlled(&c, &faults, &opts, &[p], control).unwrap();
-            let context = fragment_context_bytes(&good, &opts);
+            let context = fragment_context_hash(&good, &opts);
             let mut all = Vec::new();
             let mut any_footprint = false;
             for key in crate::cone::cone_keys(c.netlist(), &faults, model) {
                 let bytes = store
-                    .get_artifact(TENSOR_FRAG_STAGE, fragment_fingerprint(&context, key, p))
+                    .get_artifact(TENSOR_FRAG_STAGE, fragment_fingerprint(context, key, p))
                     .expect("every fault's fragment is stored");
                 let frag = TensorFragment::from_bytes(&bytes, p, opts.reduce).unwrap();
                 any_footprint |= !frag.footprint.is_empty();
@@ -2380,35 +2364,120 @@ mod tests {
         let c = circuit();
         let faults = collapsed_faults(c.netlist());
         let good = TransitionTables::good(&c);
-        let base = |model: FaultModel| {
-            fingerprint_base_bytes(
-                &good,
-                &faults,
-                &DetectOptions {
-                    fault_model: model,
-                    ..DetectOptions::default()
-                },
-            )
+        let base = |options: &DetectOptions| {
+            fingerprint_base_hash(fragment_context_hash(&good, options), &faults)
         };
-        let permanent = base(FaultModel::PermanentStuckAt);
+        let with_model = |model: FaultModel| {
+            base(&DetectOptions {
+                fault_model: model,
+                ..DetectOptions::default()
+            })
+        };
+        let permanent = with_model(FaultModel::PermanentStuckAt);
         assert_eq!(
             permanent,
-            fingerprint_base_bytes(&good, &faults, &DetectOptions::default()),
+            base(&DetectOptions::default()),
             "permanent model must not perturb pre-model store keys"
         );
-        let mut seen = vec![permanent.clone()];
+        let mut seen = vec![permanent];
         for model in [
             FaultModel::TransientSeu { duration: 4 },
             FaultModel::TransientSeu { duration: 5 },
             FaultModel::Intermittent { period: 2 },
             FaultModel::MultiBitCluster { radius: 1 },
         ] {
-            let bytes = base(model);
-            assert!(
-                !seen.contains(&bytes),
-                "{model} collides with another model"
-            );
-            seen.push(bytes);
+            let key = with_model(model);
+            assert!(!seen.contains(&key), "{model} collides with another model");
+            seen.push(key);
+        }
+    }
+
+    /// Reference key derivation: `fnv1a64` of the materialised
+    /// `preimage ++ suffix…`.
+    fn materialised_key(preimage: &[u8], suffix: &[&[u8]]) -> u64 {
+        let mut bytes = preimage.to_vec();
+        for part in suffix {
+            bytes.extend_from_slice(part);
+        }
+        fnv1a64(&bytes)
+    }
+
+    #[test]
+    fn folded_keys_equal_materialised_preimage_keys() {
+        // Stores written before keys folded onto a hashed context must
+        // keep hitting: every fragment key, tensor key, build
+        // fingerprint and delta-seed key equals `fnv1a64` of the full
+        // preimage, on two machines, all four fault models, p = 1..=3.
+        let le = |v: u64| v.to_le_bytes();
+        for c in [circuit(), dk512()] {
+            let faults = collapsed_faults(c.netlist());
+            let good = TransitionTables::good(&c);
+            for model in [
+                FaultModel::PermanentStuckAt,
+                FaultModel::TransientSeu { duration: 2 },
+                FaultModel::Intermittent { period: 2 },
+                FaultModel::MultiBitCluster { radius: 1 },
+            ] {
+                let opts = DetectOptions {
+                    fault_model: model,
+                    ..DetectOptions::default()
+                };
+                let mut w = ByteWriter::new();
+                write_fragment_context(&mut w, &good, &opts);
+                let context_bytes = w.finish();
+                let mut w = ByteWriter::new();
+                write_fragment_context(&mut w, &good, &opts);
+                w.usize(faults.len());
+                for f in &faults {
+                    w.usize(f.net.index());
+                    w.bool(f.stuck_at);
+                }
+                let base_bytes = w.finish();
+
+                let context = fragment_context_hash(&good, &opts);
+                assert_eq!(context, fnv1a64(&context_bytes), "{model}: context");
+                let base = fingerprint_base_hash(context, &faults);
+                assert_eq!(base, fnv1a64(&base_bytes), "{model}: base");
+                let seed = DeltaSeed {
+                    old_context: context,
+                    changed_codes: Vec::new(),
+                };
+                let sweep = [1usize, 2, 3];
+                let sweep_words: Vec<[u8; 8]> = sweep.iter().map(|&p| le(p as u64)).collect();
+                let mut sweep_suffix: Vec<&[u8]> = Vec::new();
+                let count = le(sweep.len() as u64);
+                sweep_suffix.push(&count);
+                sweep_suffix.extend(sweep_words.iter().map(|w| &w[..]));
+                assert_eq!(
+                    build_fingerprint_from_base(base, &sweep),
+                    materialised_key(&base_bytes, &sweep_suffix),
+                    "{model}: build fingerprint over 1..=3"
+                );
+                let cone_keys = crate::cone::cone_keys(c.netlist(), &faults, model);
+                for p in sweep {
+                    let pw = le(p as u64);
+                    assert_eq!(
+                        build_fingerprint_from_base(base, &[p]),
+                        materialised_key(&base_bytes, &[&le(1), &pw]),
+                        "{model} p={p}: build fingerprint"
+                    );
+                    assert_eq!(
+                        tensor_fingerprint(base, p),
+                        materialised_key(&base_bytes, &[b"tensor-latency", &pw]),
+                        "{model} p={p}: tensor key"
+                    );
+                    for &key in &cone_keys {
+                        let old =
+                            materialised_key(&context_bytes, &[b"tensor-frag", &le(key), &pw]);
+                        assert_eq!(fragment_fingerprint(context, key, p), old, "{model} p={p}");
+                        assert_eq!(
+                            fragment_fingerprint(seed.old_context, key, p),
+                            old,
+                            "{model} p={p}: delta seed key"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -28,6 +28,6 @@ pub mod store;
 
 pub use coverage::{drop_dominated, reduce_cases, CaseReduction, CoverageMatrix, RowSet};
 pub use store::{
-    fingerprint_bytes, GcOutcome, StageCounters, Store, StoreEntryInfo, StoreStats,
-    STORE_ENTRY_KIND, STORE_INDEX_KIND, TENSOR_COMP_STAGE, TENSOR_FRAG_STAGE,
+    GcOutcome, StageCounters, Store, StoreEntryInfo, StoreStats, STORE_ENTRY_KIND,
+    STORE_INDEX_KIND, TENSOR_FRAG_STAGE,
 };

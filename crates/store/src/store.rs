@@ -20,15 +20,12 @@
 //!   length, FNV-1a-64 checksum) with the key echoed inside the
 //!   payload; any truncation, bit flip, or key mismatch fails
 //!   verification and the entry is dropped and rebuilt.
-//! * **Deterministic eviction.** When a byte budget is set, entries are
-//!   evicted in ascending order of a logical touch counter — no clocks,
-//!   so eviction order is a pure function of the access sequence.
 //! * **Deterministic reporting.** Stats and entry listings are sorted
 //!   by `(stage, fingerprint)`, never hash order.
 
 use ced_runtime::{
-    decode_checkpoint, fnv1a64, load_checkpoint, mtime_age, save_checkpoint, touch, ByteReader,
-    ByteWriter, CheckpointError,
+    decode_checkpoint, load_checkpoint, mtime_age, save_checkpoint, touch, ByteReader, ByteWriter,
+    CheckpointError,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -46,11 +43,6 @@ pub const STORE_ENTRY_KIND: u16 = 3;
 /// can derive fragment-level counters without depending on the
 /// simulator.
 pub const TENSOR_FRAG_STAGE: &str = "tensor-frag";
-
-/// Stage name for tensor composition records: a digest proving that a
-/// full `DetectabilityTable` reassembled from [`TENSOR_FRAG_STAGE`]
-/// fragments is byte-identical to a monolithic build.
-pub const TENSOR_COMP_STAGE: &str = "tensor-comp";
 
 /// Checkpoint kind tag for the on-disk store index.
 pub const STORE_INDEX_KIND: u16 = 4;
@@ -134,7 +126,6 @@ pub struct GcOutcome {
 struct Entry {
     len: u64,
     last_run: u64,
-    touch: u64,
     /// Payload bytes; `None` until a disk-backed entry is first read.
     bytes: Option<Vec<u8>>,
 }
@@ -151,9 +142,7 @@ struct Inner {
     /// on drop, excluded from this store's own gc lease scan.
     lease: Option<PathBuf>,
     run: u64,
-    touch_seq: u64,
     total_bytes: u64,
-    max_bytes: Option<u64>,
 }
 
 /// Content-addressed artifact store; see the module docs. Shared
@@ -216,13 +205,6 @@ impl Store {
         })
     }
 
-    /// Caps stored payload bytes; over-budget entries are evicted in
-    /// ascending touch order on insertion.
-    pub fn with_max_bytes(self, max_bytes: u64) -> Store {
-        self.inner.lock().unwrap().max_bytes = Some(max_bytes);
-        self
-    }
-
     /// The current logical run number.
     pub fn run(&self) -> u64 {
         self.inner.lock().unwrap().run
@@ -236,14 +218,11 @@ impl Store {
         let inner = &mut *inner;
         let key = (stage.to_string(), fingerprint);
         let run = inner.run;
-        inner.touch_seq += 1;
-        let touch = inner.touch_seq;
         let known = inner.entries.contains_key(&key);
         if let Some(entry) = inner.entries.get_mut(&key) {
             if let Some(bytes) = &entry.bytes {
                 let bytes = bytes.clone();
                 entry.last_run = run;
-                entry.touch = touch;
                 stage_counters(&mut inner.counters, stage).hits += 1;
                 return Some(bytes);
             }
@@ -259,7 +238,6 @@ impl Store {
                         Entry {
                             len: bytes.len() as u64,
                             last_run: run,
-                            touch,
                             bytes: Some(bytes.clone()),
                         },
                     );
@@ -336,11 +314,8 @@ impl Store {
         let inner = &mut *inner;
         let key = (stage.to_string(), fingerprint);
         let run = inner.run;
-        inner.touch_seq += 1;
-        let touch = inner.touch_seq;
         if let Some(entry) = inner.entries.get_mut(&key) {
             entry.last_run = run;
-            entry.touch = touch;
             return false;
         }
         if let Some(dir) = &inner.dir {
@@ -354,33 +329,15 @@ impl Store {
             );
         }
         inner.entries.insert(
-            key.clone(),
+            key,
             Entry {
                 len: bytes.len() as u64,
                 last_run: run,
-                touch,
                 bytes: Some(bytes.to_vec()),
             },
         );
         inner.total_bytes += bytes.len() as u64;
         stage_counters(&mut inner.counters, stage).puts += 1;
-        if let Some(max) = inner.max_bytes {
-            while inner.total_bytes > max {
-                let victim = inner
-                    .entries
-                    .iter()
-                    .filter(|(k, _)| **k != key)
-                    .min_by_key(|(_, e)| e.touch)
-                    .map(|(k, _)| k.clone());
-                let Some(vkey) = victim else { break };
-                if let Some(old) = inner.entries.remove(&vkey) {
-                    inner.total_bytes = inner.total_bytes.saturating_sub(old.len);
-                }
-                if let Some(dir) = &inner.dir {
-                    let _ = fs::remove_file(artifact_path(dir, &vkey.0, vkey.1));
-                }
-            }
-        }
         true
     }
 
@@ -447,32 +404,25 @@ impl Store {
                 .unwrap_or_default()
         };
         // Derived fragment-level view: how many per-fault tensor
-        // fragments were served warm versus rebuilt, and how many
-        // whole-table compositions were recorded/verified. This is
-        // what makes the warm-edit win observable from `ced store
-        // stats --json` and the serve `health` endpoint. Counters come
-        // from the current run; a process that has not analyzed yet
-        // (`ced store stats` itself) falls back to the previous run's
-        // persisted counters, so the command reports the last
-        // analysis instead of its own idleness.
+        // fragments were served warm versus rebuilt. This is what
+        // makes the warm-edit win observable from `ced store stats
+        // --json` and the serve `health` endpoint. Counters come from
+        // the current run; a process that has not analyzed yet (`ced
+        // store stats` itself) falls back to the previous run's
+        // persisted counters, so the command reports the last analysis
+        // instead of its own idleness.
         let previous = self.previous_run_stats();
-        let by_stage_previous = |name: &str| {
-            previous
-                .iter()
-                .find(|(s, _)| s == name)
-                .map(|(_, c)| *c)
-                .unwrap_or_default()
-        };
         let mut frag = by_stage(TENSOR_FRAG_STAGE);
-        let mut comp = by_stage(TENSOR_COMP_STAGE);
-        if frag == StageCounters::default() && comp == StageCounters::default() {
-            frag = by_stage_previous(TENSOR_FRAG_STAGE);
-            comp = by_stage_previous(TENSOR_COMP_STAGE);
+        if frag == StageCounters::default() {
+            frag = previous
+                .iter()
+                .find(|(s, _)| s == TENSOR_FRAG_STAGE)
+                .map(|(_, c)| *c)
+                .unwrap_or_default();
         }
         let fragments = Json::Object(vec![
             ("hit".into(), Json::UInt(frag.hits)),
             ("rebuilt".into(), Json::UInt(frag.puts)),
-            ("composed".into(), Json::UInt(comp.hits + comp.puts)),
         ]);
         Json::Object(vec![
             ("schema".into(), Json::str("ced-store-stats/1")),
@@ -739,7 +689,6 @@ fn read_index(payload: &[u8]) -> Result<IndexContents, CheckpointError> {
             Entry {
                 len,
                 last_run,
-                touch: 0,
                 bytes: None,
             },
         );
@@ -758,13 +707,6 @@ fn read_index(payload: &[u8]) -> Result<IndexContents, CheckpointError> {
     }
     r.expect_end()?;
     Ok((run, entries, counters))
-}
-
-/// A fingerprint convenience: FNV-1a-64 over canonical bytes. Stages
-/// build the bytes with [`ByteWriter`] so the hash input is the same
-/// canonical form the artifacts themselves use.
-pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    fnv1a64(bytes)
 }
 
 #[cfg(test)]
@@ -905,19 +847,6 @@ mod tests {
         // Rebuild path: a fresh put works.
         assert!(store.put_artifact("search", 3, b"rebuilt"));
         assert_eq!(store.get_artifact("search", 3).unwrap(), b"rebuilt");
-    }
-
-    #[test]
-    fn eviction_is_deterministic_oldest_touch_first() {
-        let store = Store::in_memory().with_max_bytes(8);
-        store.put_artifact("s", 1, b"aaaa");
-        store.put_artifact("s", 2, b"bbbb");
-        // Refresh key 1 so key 2 is the oldest touch.
-        assert!(store.get_artifact("s", 1).is_some());
-        store.put_artifact("s", 3, b"cccc");
-        let keys: Vec<u64> = store.entries().iter().map(|e| e.fingerprint).collect();
-        assert_eq!(keys, vec![1, 3]);
-        assert_eq!(store.stats().bytes, 8);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! the on-disk artifact file must read back as a miss — never as
 //! different bytes — and a rebuild must restore the original payload.
 
-use ced_store::{fingerprint_bytes, Store};
+use ced_runtime::fnv1a64;
+use ced_store::Store;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +32,7 @@ impl Drop for ScratchDir {
 /// Writes one artifact and returns the path of its on-disk file.
 fn persist_one(dir: &PathBuf, payload: &[u8]) -> (u64, PathBuf) {
     let store = Store::open(dir).expect("store opens");
-    let fp = fingerprint_bytes(payload);
+    let fp = fnv1a64(payload);
     assert!(store.put_artifact("stage", fp, payload));
     store.persist().expect("index persists");
     let file = std::fs::read_dir(dir)

@@ -8,10 +8,11 @@
 //!
 //! Also pinned here: structural edits fall back to the whole-stage
 //! path (still byte-identical), fragment promotion observably reuses
-//! the baseline's work, and a *validly-encoded but wrong* fragment —
-//! the strongest poisoning the content-addressed layer cannot catch by
-//! checksum — trips the composition digest, degrades to a monolithic
-//! rebuild, and still yields the exact from-scratch payload.
+//! the baseline's work, and a *validly-encoded but wrong* fragment or
+//! whole-table artifact — the strongest poisoning the
+//! content-addressed layer cannot catch by checksum — trips the
+//! byte-for-byte composition check, degrades to a monolithic rebuild,
+//! and still yields the exact from-scratch payload.
 
 use ced_core::pipeline::PipelineOptions;
 use ced_fsm::machine::{Fsm, OutputValue};
@@ -20,6 +21,7 @@ use ced_par::ParExec;
 use ced_runtime::Budget;
 use ced_serve::ops::check_text_with_baseline;
 use ced_serve::{DeltaSummary, OpKind, OpRequest};
+use ced_sim::detect::TENSOR_STAGE;
 use ced_sim::fault::FaultModel;
 use ced_store::{StageCounters, Store, TENSOR_FRAG_STAGE};
 use std::path::PathBuf;
@@ -139,14 +141,32 @@ fn analyze(
         .expect("analysis completes")
 }
 
-fn frag_counters(store: &Store) -> StageCounters {
+fn stage_counters(store: &Store, stage: &str) -> StageCounters {
     store
         .stats()
         .stages
         .into_iter()
-        .find(|(s, _)| s == TENSOR_FRAG_STAGE)
+        .find(|(s, _)| s == stage)
         .map(|(_, c)| c)
         .unwrap_or_default()
+}
+
+fn frag_counters(store: &Store) -> StageCounters {
+    stage_counters(store, TENSOR_FRAG_STAGE)
+}
+
+/// Every `(key, bytes)` the store holds under `stage`, in key order.
+fn stage_artifacts(store: &Store, stage: &str) -> Vec<(u64, Vec<u8>)> {
+    store
+        .entries()
+        .into_iter()
+        .filter(|e| e.stage == stage)
+        .filter_map(|e| {
+            store
+                .get_artifact(stage, e.fingerprint)
+                .map(|bytes| (e.fingerprint, bytes))
+        })
+        .collect()
 }
 
 /// The tentpole differential: for every paper machine and fault
@@ -255,9 +275,10 @@ fn promotion_observably_reuses_baseline_fragments() {
 /// The strongest poisoning the checksum layer cannot catch: replace
 /// one fragment with a *different, validly encoded* fragment (another
 /// key's payload), silently dropping the replaced fault's rows from
-/// the reassembly. The composition digest must refuse it, mark the
-/// absorbed fragments corrupt, rebuild monolithically, and produce
-/// the exact from-scratch payload.
+/// the reassembly. The byte-for-byte comparison with the stored
+/// whole-table artifact must refuse it, mark the absorbed fragments
+/// corrupt, rebuild monolithically, and produce the exact from-scratch
+/// payload.
 #[test]
 fn poisoned_valid_fragment_trips_composition_and_degrades_to_rebuild() {
     let base = scaled("s27");
@@ -271,16 +292,7 @@ fn poisoned_valid_fragment_trips_composition_and_degrades_to_rebuild() {
     // Find two fragments with different payloads and overwrite one
     // with the other's bytes — the victim still decodes fine but its
     // fault's rows silently vanish from the reassembly.
-    let frags: Vec<(u64, Vec<u8>)> = store
-        .entries()
-        .into_iter()
-        .filter(|e| e.stage == TENSOR_FRAG_STAGE)
-        .filter_map(|e| {
-            store
-                .get_artifact(TENSOR_FRAG_STAGE, e.fingerprint)
-                .map(|bytes| (e.fingerprint, bytes))
-        })
-        .collect();
+    let frags = stage_artifacts(&store, TENSOR_FRAG_STAGE);
     let (donor, victim) = {
         let mut pair = None;
         'outer: for i in 0..frags.len() {
@@ -313,4 +325,63 @@ fn poisoned_valid_fragment_trips_composition_and_degrades_to_rebuild() {
         frag_counters(&store).corrupt > corrupt_baseline,
         "the composition mismatch must mark the absorbed fragments corrupt"
     );
+}
+
+/// The same poisoning one level up: the base machine's whole-table
+/// `tensor` artifact is replaced by an output-edited machine's table —
+/// validly encoded, same dimensions, wrong rows. An identical-baseline
+/// re-analysis composes the table from the (sound) fragments, finds it
+/// differs from the stored artifact byte for byte, drops both sides,
+/// rebuilds monolithically and re-publishes the clean table, so a later
+/// plain warm `check` is served the right bytes.
+#[test]
+fn poisoned_whole_table_is_repaired_by_the_composition_check() {
+    let base = scaled("s27");
+    let request = request(FaultModel::PermanentStuckAt);
+    let (reference, _) = analyze(&base, None, &request, 1, None);
+
+    let clean = Store::in_memory();
+    let _ = analyze(&base, None, &request, 1, Some(&clean));
+    let clean_tables = stage_artifacts(&clean, TENSOR_STAGE);
+    assert_eq!(clean_tables.len(), 1, "one bound, one whole-table artifact");
+
+    let donor = Store::in_memory();
+    let edited = random_output_edit(&base, &mut Lcg(7));
+    let _ = analyze(&edited, None, &request, 1, Some(&donor));
+    let donor_tables = stage_artifacts(&donor, TENSOR_STAGE);
+    assert_eq!(donor_tables.len(), 1, "one bound, one whole-table artifact");
+    assert_ne!(
+        donor_tables[0].1, clean_tables[0].1,
+        "the edit must change the table bytes"
+    );
+
+    let scratch = ScratchDir::new("poison-table");
+    let store = Store::open(&scratch.0).expect("store opens");
+    let _ = analyze(&base, None, &request, 1, Some(&store));
+    let key = clean_tables[0].0;
+    store.note_corrupt(TENSOR_STAGE, key);
+    assert!(
+        store.put_artifact(TENSOR_STAGE, key, &donor_tables[0].1),
+        "poisoned table stored"
+    );
+    let corrupt_baseline = stage_counters(&store, TENSOR_STAGE).corrupt;
+
+    let (rebuilt, summary) = analyze(&base, Some(&base), &request, 1, Some(&store));
+    assert_eq!(
+        rebuilt, reference,
+        "a poisoned table must degrade to a byte-identical rebuild"
+    );
+    assert!(summary.expect("summary present").seeded);
+    assert!(
+        stage_counters(&store, TENSOR_STAGE).corrupt > corrupt_baseline,
+        "the composition mismatch must mark the stored table corrupt"
+    );
+    assert_eq!(
+        store.get_artifact(TENSOR_STAGE, key).as_deref(),
+        Some(&clean_tables[0].1[..]),
+        "the rebuild must replace the poisoned table with the clean one"
+    );
+
+    let (warm, _) = analyze(&base, None, &request, 1, Some(&store));
+    assert_eq!(warm, reference, "a plain warm check after the repair");
 }
