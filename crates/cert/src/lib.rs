@@ -215,11 +215,6 @@ impl StageOutcome {
         matches!(self, StageOutcome::Certified(_))
     }
 
-    /// True iff the stage refuted its claim.
-    pub fn is_refuted(&self) -> bool {
-        matches!(self, StageOutcome::Refuted(_))
-    }
-
     /// The stage this outcome belongs to.
     pub fn stage(&self) -> Stage {
         match self {

@@ -368,7 +368,28 @@ pub fn serve(args: &[String]) -> CliResult {
 /// an optional budget with heartbeat progress, checkpointing and
 /// resume.
 pub fn table(args: &[String]) -> CliResult {
-    let parsed = parse(args)?;
+    // `--checkpoint`/`--resume` are `table`'s own flags: the shared
+    // parser refuses them, so no other single-machine command can
+    // accept one and ignore it.
+    let mut rest = Vec::with_capacity(args.len());
+    let (mut checkpoint, mut resume) = (None, None);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let slot = match a.as_str() {
+            "--checkpoint" => &mut checkpoint,
+            "--resume" => &mut resume,
+            _ => {
+                rest.push(a.clone());
+                continue;
+            }
+        };
+        *slot = Some(
+            it.next()
+                .ok_or_else(|| format!("{a} needs a file path"))?
+                .clone(),
+        );
+    }
+    let parsed = parse(&rest)?;
     let lib = CellLibrary::new();
 
     let heartbeat = Arc::new(
@@ -376,13 +397,11 @@ pub fn table(args: &[String]) -> CliResult {
     );
     let budget = run_budget(&parsed, Some(heartbeat.clone()));
 
-    let resume = parsed
-        .resume
+    let resume = resume
         .as_deref()
         .and_then(|path| load_resume(path, TABLE_CHECKPOINT_KIND, TableCheckpoint::from_bytes));
-    let ckpt_path = parsed.checkpoint.clone();
     let mut sink = |c: &TableCheckpoint| {
-        if let Some(path) = &ckpt_path {
+        if let Some(path) = &checkpoint {
             save_or_warn(path, TABLE_CHECKPOINT_KIND, &c.to_bytes());
         }
     };
@@ -393,7 +412,7 @@ pub fn table(args: &[String]) -> CliResult {
     control.checkpoint_every = 4096;
     control.pool = Some(&pool);
     control.store = store.as_deref();
-    if parsed.checkpoint.is_some() {
+    if checkpoint.is_some() {
         control.on_checkpoint = Some(&mut sink);
     }
 
@@ -405,7 +424,7 @@ pub fn table(args: &[String]) -> CliResult {
         control,
     ) {
         Ok(report) => report,
-        Err(PipelineError::Interrupted(i)) => match (&parsed.checkpoint, &i.checkpoint) {
+        Err(PipelineError::Interrupted(i)) => match (&checkpoint, &i.checkpoint) {
             (Some(path), Some(ckpt)) => {
                 save_or_warn(path, TABLE_CHECKPOINT_KIND, &ckpt.to_bytes());
                 eprintln!(

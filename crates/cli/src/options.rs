@@ -28,11 +28,6 @@ pub struct Parsed {
     pub steps: usize,
     /// `--quiet`: suppress heartbeat progress lines on stderr.
     pub quiet: bool,
-    /// `--resume <path>`: resume from a checkpoint file.
-    pub resume: Option<String>,
-    /// `--checkpoint <path>`: write checkpoints to this file as the
-    /// run progresses.
-    pub checkpoint: Option<String>,
     /// `--deadline-ms N`: wall-clock budget for the run.
     pub deadline_ms: Option<u64>,
     /// `--ticks N`: work-tick budget for the run.
@@ -89,8 +84,6 @@ pub fn parse_machines(
     let mut checker_faults = true;
     let mut steps = 2000usize;
     let mut quiet = false;
-    let mut resume = None;
-    let mut checkpoint = None;
     let mut deadline_ms = None;
     let mut ticks = None;
     let mut out = None;
@@ -179,12 +172,6 @@ pub fn parse_machines(
             "--quiet" => {
                 quiet = true;
             }
-            "--resume" => {
-                resume = Some(it.next().ok_or("--resume needs a file path")?.clone());
-            }
-            "--checkpoint" => {
-                checkpoint = Some(it.next().ok_or("--checkpoint needs a file path")?.clone());
-            }
             "--deadline-ms" => {
                 deadline_ms = Some(
                     it.next()
@@ -251,8 +238,6 @@ pub fn parse_machines(
         checker_faults,
         steps,
         quiet,
-        resume,
-        checkpoint,
         deadline_ms,
         ticks,
         out,

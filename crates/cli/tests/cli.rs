@@ -505,6 +505,43 @@ fn table_interrupt_saves_checkpoint_and_resumes() {
 }
 
 #[test]
+fn resume_flags_are_refused_outside_table() {
+    // Only `table` checkpoints among the single-machine commands; the
+    // others must refuse the flags rather than accept and ignore them.
+    let machine = write_machine();
+    let m = machine.to_str().unwrap();
+    let ckpt = tempfile::NamedTempFile::new().unwrap().into_temp_path();
+    let ck = ckpt.to_str().unwrap();
+    for (cmd, extra) in [
+        ("check", vec!["--latency", "2"]),
+        ("certify", vec!["--latencies", "1"]),
+        ("inject", vec![]),
+        ("stats", vec![]),
+        ("synth", vec![]),
+        ("export", vec![]),
+        ("minimize", vec![]),
+        ("equiv", vec![m]),
+    ] {
+        for flag in ["--checkpoint", "--resume"] {
+            let mut args = vec![cmd, m];
+            args.extend(&extra);
+            args.extend([flag, ck]);
+            let out = ced(&args);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {flag}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(&format!("unknown flag `{flag}`")),
+                "{cmd}: {err}"
+            );
+        }
+    }
+    // `table` still takes both, and still wants a path.
+    let out = ced(&["table", m, "--latencies", "1", "--quiet", "--checkpoint"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--checkpoint needs a file path"));
+}
+
+#[test]
 fn corrupt_resume_checkpoint_recomputes_with_warning() {
     let machine = write_machine();
     let mut f = tempfile::NamedTempFile::new().unwrap();

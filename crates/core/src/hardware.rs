@@ -69,11 +69,6 @@ impl CedHardware {
         self.latency
     }
 
-    /// Number of parity functions.
-    pub fn num_parity_functions(&self) -> usize {
-        self.masks.len()
-    }
-
     /// Costs under a cell library.
     pub fn cost(&self, library: &CellLibrary) -> CedCost {
         let ffs = 2 * self.masks.len();

@@ -68,11 +68,6 @@ pub struct FleetStatus {
 }
 
 impl FleetStatus {
-    /// Leases older than the staleness threshold.
-    pub fn stale_leases(&self) -> impl Iterator<Item = &LeaseView> {
-        self.leased.iter().filter(|l| l.stale)
-    }
-
     /// Renders the deterministic JSON document
     /// (`ced-fleet-status/1`). Lease ages are wall-clock measurements
     /// and vary run to run; everything else is a pure function of the

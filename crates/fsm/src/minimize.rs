@@ -130,16 +130,6 @@ pub fn minimize_states(fsm: &Fsm) -> Result<Fsm, FsmError> {
     Ok(out)
 }
 
-/// Number of equivalence classes (the minimized state count) without
-/// building the quotient machine.
-///
-/// # Errors
-///
-/// Same conditions as [`minimize_states`].
-pub fn equivalent_state_count(fsm: &Fsm) -> Result<usize, FsmError> {
-    Ok(minimize_states(fsm)?.num_states())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

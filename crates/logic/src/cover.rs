@@ -102,11 +102,6 @@ impl Cover {
         &self.cubes
     }
 
-    /// Consumes the cover, returning its cubes.
-    pub fn into_cubes(self) -> Vec<Cube> {
-        self.cubes
-    }
-
     /// Adds a cube.
     ///
     /// # Panics

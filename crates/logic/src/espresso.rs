@@ -148,11 +148,6 @@ pub fn minimize_budgeted(
     Ok(f)
 }
 
-/// Convenience wrapper: minimize with default options and no don't-cares.
-pub fn minimize_exact_care(on: &Cover) -> Cover {
-    minimize(on, &Cover::empty(on.width()), &MinimizeOptions::default())
-}
-
 /// EXPAND: enlarge each cube as much as possible without hitting the
 /// OFF-set, then drop cubes contained in the expanded ones.
 ///

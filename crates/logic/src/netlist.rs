@@ -128,16 +128,6 @@ impl Netlist {
         &self.outputs
     }
 
-    /// The [`NetId`] of primary input `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_inputs`.
-    pub fn input_net(&self, i: usize) -> NetId {
-        assert!(i < self.num_inputs, "input {i} out of range");
-        NetId(i as u32)
-    }
-
     /// Number of logic gates (excluding inputs and constants).
     pub fn gate_count(&self) -> usize {
         self.gates
@@ -373,12 +363,6 @@ impl NetlistBuilder {
     /// 2-input NOR with folding.
     pub fn nor(&mut self, a: NetId, b: NetId) -> NetId {
         let g = self.or(a, b);
-        self.not(g)
-    }
-
-    /// 2-input XNOR with folding.
-    pub fn xnor(&mut self, a: NetId, b: NetId) -> NetId {
-        let g = self.xor(a, b);
         self.not(g)
     }
 

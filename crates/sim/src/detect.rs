@@ -754,27 +754,8 @@ impl DetectabilityTable {
         latencies: &[usize],
         mut control: BuildControl<'_>,
     ) -> Result<Vec<(DetectabilityTable, DetectStats)>, DetectError> {
-        if latencies.contains(&0) {
-            return Err(DetectError::ZeroLatency);
-        }
         let n = circuit.total_bits();
-        // Checked i·j·k dims: a pathological latency bound (or row cap)
-        // whose tensor volume overflows usize must fail as a typed
-        // error, not abort inside an allocator call partway through the
-        // enumeration (each row alone is `p` words).
-        for &p in latencies {
-            options
-                .max_rows
-                .max(1)
-                .checked_mul(n.max(1))
-                .and_then(|v| v.checked_mul(p))
-                .and_then(|v| v.checked_mul(std::mem::size_of::<u64>()))
-                .ok_or(DetectError::TensorTooLarge {
-                    rows: options.max_rows,
-                    bits: n,
-                    latency: p,
-                })?;
-        }
+        check_bounds(options, n, latencies)?;
         let good = TransitionTables::good(circuit);
         let context = fragment_context_hash(&good, options);
         let base = fingerprint_base_hash(context, faults);
@@ -898,7 +879,6 @@ impl DetectabilityTable {
         control: &mut BuildControl<'_>,
         read_fragments: bool,
     ) -> Result<FragmentOutcome, DetectError> {
-        let r = circuit.num_inputs();
         let n = circuit.total_bits();
         let np = latencies.len();
         let activation_states = good.reachable_codes();
@@ -991,12 +971,7 @@ impl DetectabilityTable {
         let window = pool.map_or(1, |p| p.jobs() * 2);
         let mut prefetched: VecDeque<TransitionTables> = VecDeque::new();
 
-        let mut inputs_scratch: Vec<u64> = Vec::new();
-        let mut seen_starts: Vec<HashSet<(u64, u64, u64, u64)>> =
-            latencies.iter().map(|_| HashSet::new()).collect();
-        // Activation steps are 1-indexed and step 1 is active under
-        // every model, so the first-step difference `d1` below is
-        // always taken from the faulty tables.
+        let mut scratch = WalkScratch::default();
         for (fi, &fault) in faults.iter().enumerate().skip(start_fault) {
             // Clean fault boundary: the collectors hold exactly the
             // rows of faults `0..fi`, so a checkpoint here resumes
@@ -1064,102 +1039,26 @@ impl DetectabilityTable {
                         });
                     }
                 };
-                // Fresh per-fault collectors for the bounds no stored
-                // fragment served: enumeration prunes each fault
-                // against its own rows only, so a fragment (and hence
-                // `rows_raw`) is independent of store warmth and of
-                // every other fault.
-                let mut local: Vec<Option<(Collector, CodeFootprint)>> = resolved
+                // Walk the bounds no stored fragment served; the stored
+                // artifact (if any) and the absorb source below are the
+                // same fragment by construction.
+                let bounds: Vec<Option<usize>> = resolved
                     .iter()
                     .zip(latencies)
-                    .map(|(hit, &p)| {
-                        hit.is_none().then(|| {
-                            (
-                                Collector::new(p, options.reduce, options.max_rows),
-                                CodeFootprint::new(),
-                            )
-                        })
-                    })
+                    .map(|(hit, &p)| hit.is_none().then_some(p))
                     .collect();
-                let walk = PairWalk {
+                let walked = walk_fault(
                     good,
-                    bad: &bad,
-                    model: options.fault_model,
-                    input_model: &options.input_model,
-                    semantics: options.semantics,
-                    r,
-                };
-                let mut testable = false;
-                let mut activations = 0usize;
-                // Activations with identical (D₁, start, successor) enumerate
-                // identical subtrees (the start matters for the loop rule) —
-                // dedupe them per fault and latency bound.
-                for set in seen_starts.iter_mut() {
-                    set.clear();
-                }
-
-                for &c in &activation_states {
-                    // Mid-fault safe point: prompt response to cancellation
-                    // and deadlines only — the collectors already hold
-                    // partial rows for this fault, so nothing resumable can
-                    // be captured here. Quantity caps (ticks/bytes) wait
-                    // for the next fault boundary, which yields a clean
-                    // checkpoint instead.
-                    if let Err(interrupted) = budget.check("tensor:enumerate") {
-                        if matches!(
-                            interrupted.kind,
-                            InterruptKind::Cancelled | InterruptKind::DeadlineExceeded
-                        ) {
-                            return Err(DetectError::Interrupted {
-                                interrupted,
-                                checkpoint: None,
-                            });
-                        }
-                    }
-                    options.input_model.inputs_at(c, r, &mut inputs_scratch);
-                    let inputs_here = inputs_scratch.clone();
-                    for a1 in inputs_here {
-                        let d1 = good.response(c, a1) ^ bad.response(c, a1);
-                        if d1 == 0 {
-                            continue;
-                        }
-                        testable = true;
-                        activations += 1;
-                        budget.charge(1);
-                        // Step 1 is active under every model.
-                        let pair1 = walk.successor(c, a1, bad.next(c, a1));
-                        for ((pi, &p), slot) in latencies.iter().enumerate().zip(local.iter_mut()) {
-                            let Some((collector, footprint)) = slot.as_mut() else {
-                                continue;
-                            };
-                            if !seen_starts[pi].insert((d1, c, pair1.0, pair1.1)) {
-                                continue;
-                            }
-                            walk.enumerate(p, c, d1, pair1, collector, footprint);
-                            if collector.overflowed() {
-                                return Err(DetectError::TooManyRows {
-                                    limit: options.max_rows,
-                                });
-                            }
-                        }
-                    }
-                }
-                // Package the freshly enumerated bounds as fragments —
-                // the stored artifact (if any) and the absorb source
-                // below are the same value by construction.
-                for (pi, slot) in local.into_iter().enumerate() {
-                    let Some((collector, footprint)) = slot else {
+                    &bad,
+                    &activation_states,
+                    options,
+                    &bounds,
+                    &mut scratch,
+                    budget,
+                )?;
+                for (pi, fragment) in walked.into_iter().enumerate() {
+                    let Some(fragment) = fragment else {
                         continue;
-                    };
-                    let emitted = collector.emitted();
-                    let (codes, overflow) = footprint.into_sorted();
-                    let fragment = TensorFragment {
-                        testable,
-                        activations,
-                        emitted,
-                        rows: collector.into_fragment_rows(),
-                        footprint: codes,
-                        footprint_overflow: overflow,
                     };
                     if let (Some(store), Some(fc)) = (control.store, frag) {
                         let key = fragment_fingerprint(fc.context, fc.cone_keys[fi], latencies[pi]);
@@ -1411,16 +1310,6 @@ impl DetectabilityTable {
     pub fn entry(&self, row: usize, bit: usize, step: usize) -> bool {
         assert!(bit < self.num_bits && step < self.latency);
         (self.rows[row].steps[step] >> bit) & 1 == 1
-    }
-
-    /// The rows detected by a single parity mask, as indices.
-    pub fn rows_detected_by(&self, mask: u64) -> Vec<usize> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.detected_by(mask))
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// The row indices NOT detected by any of the given parity masks.
@@ -1884,6 +1773,203 @@ fn promote_fragment(
     }
     store.put_artifact(TENSOR_FRAG_STAGE, new_key, &frag.to_bytes());
     Some(frag)
+}
+
+/// Rejects a zero latency bound and any bound whose tensor volume
+/// `i·j·k` (`max_rows · n · p` words) overflows `usize`: a pathological
+/// bound (or row cap) must fail as a typed error, not abort inside an
+/// allocator call partway through the enumeration (each row alone is
+/// `p` words).
+fn check_bounds(options: &DetectOptions, n: usize, latencies: &[usize]) -> Result<(), DetectError> {
+    if latencies.contains(&0) {
+        return Err(DetectError::ZeroLatency);
+    }
+    for &p in latencies {
+        options
+            .max_rows
+            .max(1)
+            .checked_mul(n.max(1))
+            .and_then(|v| v.checked_mul(p))
+            .and_then(|v| v.checked_mul(std::mem::size_of::<u64>()))
+            .ok_or(DetectError::TensorTooLarge {
+                rows: options.max_rows,
+                bits: n,
+                latency: p,
+            })?;
+    }
+    Ok(())
+}
+
+/// One fault's erroneous cases at `options.latency`, enumerated on
+/// faulty tables the caller already holds: the table
+/// [`DetectabilityTable::build_many_controlled`] builds for the single
+/// fault (same rows, same walk), without its store, good-table
+/// extraction, reachability pass or fingerprints. `bad` must be the
+/// tables of `options.fault_model` expanded at the fault
+/// ([`FaultModel::expand`]), `activation_states` the good machine's
+/// reachable codes ([`TransitionTables::reachable_codes`]). Returns
+/// `None` when the fault is untestable (no reachable state and input
+/// activates an error).
+///
+/// # Errors
+///
+/// [`DetectError::ZeroLatency`], [`DetectError::TensorTooLarge`] and
+/// [`DetectError::TooManyRows`], as the single-fault build.
+pub fn fault_cases(
+    good: &TransitionTables,
+    bad: &TransitionTables,
+    activation_states: &[u64],
+    options: &DetectOptions,
+) -> Result<Option<DetectabilityTable>, DetectError> {
+    let n = good.state_bits() + good.num_outputs();
+    let p = options.latency;
+    check_bounds(options, n, &[p])?;
+    let fragment = walk_fault(
+        good,
+        bad,
+        activation_states,
+        options,
+        &[Some(p)],
+        &mut WalkScratch::default(),
+        &Budget::unlimited(),
+    )?
+    .pop()
+    .flatten()
+    .expect("one bound walked");
+    if !fragment.testable {
+        return Ok(None);
+    }
+    // The builder's absorb-and-finish, so the rows are its rows.
+    let mut collector = Collector::new(p, options.reduce, options.max_rows);
+    collector.absorb(&fragment.rows, fragment.emitted);
+    if collector.overflowed() {
+        return Err(DetectError::TooManyRows {
+            limit: options.max_rows,
+        });
+    }
+    Ok(Some(DetectabilityTable {
+        num_bits: n,
+        latency: p,
+        reduced: options.reduce,
+        rows: collector.finish(),
+    }))
+}
+
+/// Scratch [`walk_fault`] reuses across the faults of one build: the
+/// input buffer and the per-bound seen-start sets.
+#[derive(Default)]
+struct WalkScratch {
+    inputs: Vec<u64>,
+    seen_starts: Vec<HashSet<(u64, u64, u64, u64)>>,
+}
+
+/// The per-fault walk: every activation of `bad` (a reachable code `c`
+/// of `activation_states` and an input `a₁` with `D₁ ≠ 0`), enumerated
+/// by [`PairWalk`] into a fresh collector per bound, packaged as one
+/// [`TensorFragment`] per `Some(p)` of `bounds` (`None` slots, bounds
+/// a stored fragment already served, stay `None`). Each fault is pruned
+/// against its own rows only, so a fragment is independent of store
+/// warmth and of every other fault.
+///
+/// The budget is checked once per activation state, and only
+/// cancellation and deadlines interrupt there (the collectors hold
+/// partial rows, so nothing resumable can be captured; quantity caps
+/// wait for the caller's next fault boundary); one tick is charged per
+/// activation.
+fn walk_fault(
+    good: &TransitionTables,
+    bad: &TransitionTables,
+    activation_states: &[u64],
+    options: &DetectOptions,
+    bounds: &[Option<usize>],
+    scratch: &mut WalkScratch,
+    budget: &Budget,
+) -> Result<Vec<Option<TensorFragment>>, DetectError> {
+    let r = good.num_inputs();
+    let mut local: Vec<Option<(Collector, CodeFootprint)>> = bounds
+        .iter()
+        .map(|bound| {
+            bound.map(|p| {
+                (
+                    Collector::new(p, options.reduce, options.max_rows),
+                    CodeFootprint::new(),
+                )
+            })
+        })
+        .collect();
+    let walk = PairWalk {
+        good,
+        bad,
+        model: options.fault_model,
+        input_model: &options.input_model,
+        semantics: options.semantics,
+        r,
+    };
+    let mut testable = false;
+    let mut activations = 0usize;
+    // Activations with identical (D₁, start, successor) enumerate
+    // identical subtrees (the start matters for the loop rule) — dedupe
+    // them per bound.
+    scratch.seen_starts.resize_with(bounds.len(), HashSet::new);
+    for set in &mut scratch.seen_starts {
+        set.clear();
+    }
+    for &c in activation_states {
+        if let Err(interrupted) = budget.check("tensor:enumerate") {
+            if matches!(
+                interrupted.kind,
+                InterruptKind::Cancelled | InterruptKind::DeadlineExceeded
+            ) {
+                return Err(DetectError::Interrupted {
+                    interrupted,
+                    checkpoint: None,
+                });
+            }
+        }
+        options.input_model.inputs_at(c, r, &mut scratch.inputs);
+        for &a1 in &scratch.inputs {
+            let d1 = good.response(c, a1) ^ bad.response(c, a1);
+            if d1 == 0 {
+                continue;
+            }
+            testable = true;
+            activations += 1;
+            budget.charge(1);
+            // Step 1 is active under every model.
+            let pair1 = walk.successor(c, a1, bad.next(c, a1));
+            for (slot, seen) in local.iter_mut().zip(&mut scratch.seen_starts) {
+                let Some((collector, footprint)) = slot.as_mut() else {
+                    continue;
+                };
+                if !seen.insert((d1, c, pair1.0, pair1.1)) {
+                    continue;
+                }
+                walk.enumerate(collector.latency, c, d1, pair1, collector, footprint);
+                if collector.overflowed() {
+                    return Err(DetectError::TooManyRows {
+                        limit: options.max_rows,
+                    });
+                }
+            }
+        }
+    }
+    Ok(local
+        .into_iter()
+        .map(|slot| {
+            slot.map(|(collector, footprint)| {
+                let emitted = collector.emitted();
+                let (codes, overflow) = footprint.into_sorted();
+                TensorFragment {
+                    testable,
+                    activations,
+                    emitted,
+                    rows: collector.into_fragment_rows(),
+                    footprint: codes,
+                    footprint_overflow: overflow,
+                }
+            })
+        })
+        .collect())
 }
 
 /// Depth-first enumeration of one fault's erroneous-case suffixes on
@@ -3001,5 +3087,115 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DetectError::TooManyRows { limit: 1 }));
+    }
+
+    #[test]
+    fn fault_cases_equal_single_fault_builds() {
+        // The campaign's per-fault verdict walks the faulty tables it
+        // already holds; it must see exactly the single-fault build's
+        // step-sets and untestable flag, on three machines, all four
+        // fault models, p = 1..=3, both semantics, reduced and raw. The
+        // one-hot fixture has redundant faults (effects only at codes
+        // the good machine never reaches), so `None` is exercised too.
+        let one_hot = {
+            let fsm = suite::sequence_detector();
+            let enc = assign(&fsm, EncodingStrategy::OneHot);
+            EncodedFsm::new(fsm, enc)
+                .unwrap()
+                .synthesize(&MinimizeOptions::default())
+        };
+        let mut untestable = 0;
+        for c in [circuit(), dk512(), one_hot] {
+            let faults = collapsed_faults(c.netlist());
+            let good = TransitionTables::good(&c);
+            let activation_states = good.reachable_codes();
+            for model in [
+                FaultModel::PermanentStuckAt,
+                FaultModel::TransientSeu { duration: 2 },
+                FaultModel::Intermittent { period: 2 },
+                FaultModel::MultiBitCluster { radius: 1 },
+            ] {
+                let bads: Vec<TransitionTables> = faults
+                    .iter()
+                    .map(|&f| TransitionTables::faulty(&c, &model.expand(f, c.netlist())))
+                    .collect();
+                for p in 1..=3 {
+                    for semantics in [Semantics::Lockstep, Semantics::FaultyTrajectory] {
+                        for reduce in [true, false] {
+                            let opts = DetectOptions {
+                                latency: p,
+                                semantics,
+                                reduce,
+                                fault_model: model,
+                                ..DetectOptions::default()
+                            };
+                            for (&fault, bad) in faults.iter().zip(&bads) {
+                                let (table, stats) =
+                                    DetectabilityTable::build(&c, &[fault], &opts).unwrap();
+                                let got =
+                                    fault_cases(&good, bad, &activation_states, &opts).unwrap();
+                                let ctx = format!("{fault:?} {model} p={p} {semantics:?} {reduce}");
+                                match got {
+                                    None => {
+                                        assert_eq!(stats.untestable_faults, 1, "{ctx}");
+                                        assert!(table.is_empty(), "{ctx}");
+                                        untestable += 1;
+                                    }
+                                    Some(cases) => {
+                                        assert_eq!(stats.untestable_faults, 0, "{ctx}");
+                                        assert_eq!(cases, table, "{ctx}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(untestable > 0, "no untestable fault exercised");
+    }
+
+    #[test]
+    fn fault_cases_keep_the_single_fault_build_errors() {
+        let c = circuit();
+        let faults = collapsed_faults(c.netlist());
+        let good = TransitionTables::good(&c);
+        let activation_states = good.reachable_codes();
+        let both = |fault: Fault, opts: &DetectOptions| {
+            let bad = TransitionTables::faulty(&c, &[fault]);
+            (
+                DetectabilityTable::build(&c, &[fault], opts)
+                    .map(|(t, st)| (st.untestable_faults == 0).then_some(t)),
+                fault_cases(&good, &bad, &activation_states, opts),
+            )
+        };
+        let zero = DetectOptions {
+            latency: 0,
+            ..DetectOptions::default()
+        };
+        let (built, got) = both(faults[0], &zero);
+        assert_eq!(built, Err(DetectError::ZeroLatency));
+        assert_eq!(got, Err(DetectError::ZeroLatency));
+        let huge = DetectOptions {
+            latency: usize::MAX / 2,
+            ..DetectOptions::default()
+        };
+        let (built, got) = both(faults[0], &huge);
+        assert!(matches!(built, Err(DetectError::TensorTooLarge { .. })));
+        assert_eq!(got, built);
+        let capped = DetectOptions {
+            latency: 2,
+            max_rows: 1,
+            ..DetectOptions::default()
+        };
+        let mut overflowed = 0;
+        for &fault in &faults {
+            let (built, got) = both(fault, &capped);
+            assert_eq!(got, built, "{fault:?}");
+            if built == Err(DetectError::TooManyRows { limit: 1 }) {
+                overflowed += 1;
+            }
+        }
+        assert!(overflowed > 0, "some fault must exceed one row");
     }
 }

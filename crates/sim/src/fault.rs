@@ -19,7 +19,7 @@
 
 use ced_logic::gate::GateKind;
 use ced_logic::netlist::{NetId, Netlist};
-use ced_runtime::{Budget, ByteReader, ByteWriter, CheckpointError, Interrupted};
+use ced_runtime::{ByteReader, ByteWriter, CheckpointError};
 use std::fmt;
 
 /// A single stuck-at fault on one net.
@@ -91,13 +91,6 @@ pub enum FaultModel {
 }
 
 impl FaultModel {
-    /// `true` for the default permanent single stuck-at model — the
-    /// only model whose artifacts, fingerprints and reports must stay
-    /// byte-identical to the pre-model pipeline.
-    pub fn is_permanent(self) -> bool {
-        self == FaultModel::PermanentStuckAt
-    }
-
     /// `true` when the injected fault does not vary over time, so the
     /// time-invariant faulty transition tables describe every cycle.
     pub fn time_invariant(self) -> bool {
@@ -356,32 +349,6 @@ pub fn collapse_classes(netlist: &Netlist) -> Vec<(Fault, Vec<Fault>)> {
         }
     }
     classes
-}
-
-/// Enumerates a fault list under a [`Budget`]: [`all_faults`] or
-/// [`collapsed_faults`] with one work unit charged per gate and a
-/// budget check per 1024 gates, so a pathological netlist cannot stall
-/// the campaign set-up phase past its deadline.
-///
-/// # Errors
-///
-/// The budget's interruption (never resumable: the list is cheap to
-/// re-enumerate).
-pub fn fault_list_budgeted(
-    netlist: &Netlist,
-    collapse: bool,
-    budget: &Budget,
-) -> Result<Vec<Fault>, Interrupted> {
-    let gates = netlist.gates().len();
-    for start in (0..gates).step_by(1024) {
-        budget.charge((gates - start).min(1024) as u64);
-        budget.check("faults:enumerate")?;
-    }
-    Ok(if collapse {
-        collapsed_faults(netlist)
-    } else {
-        all_faults(netlist)
-    })
 }
 
 #[cfg(test)]

@@ -172,11 +172,6 @@ impl TransitionTables {
         self.num_outputs
     }
 
-    /// `n = s + o`: response width.
-    pub fn response_bits(&self) -> usize {
-        self.state_bits + self.num_outputs
-    }
-
     /// The reset state code.
     pub fn reset_code(&self) -> u64 {
         self.reset_code
