@@ -41,7 +41,7 @@ use ced_fsm::encoded::FsmCircuit;
 use ced_runtime::{Budget, Interrupted};
 use ced_sim::detect::{InputModel, Semantics};
 use ced_sim::fault::{Fault, FaultModel};
-use ced_sim::tables::TransitionTables;
+use ced_sim::tables::{FaultTables, TransitionTables};
 
 #[inline]
 fn silent(masks: &[u64], d: u64) -> bool {
@@ -212,7 +212,8 @@ pub fn verify_solution(
     latency: usize,
     budget: &Budget,
 ) -> Result<StageOutcome, Interrupted> {
-    let good = TransitionTables::good(circuit);
+    let extractor = FaultTables::new(circuit);
+    let good = extractor.good();
     let r = good.num_inputs();
     let s = good.state_bits();
     let activation_states = good.reachable_codes();
@@ -221,13 +222,9 @@ pub fn verify_solution(
 
     for &fault in faults {
         budget.tick(1, "certify/soundness")?;
-        let bad = TransitionTables::faulty_budgeted(
-            circuit,
-            &model.expand(fault, circuit.netlist()),
-            budget,
-        )?;
+        let bad = extractor.faulty(&model.expand(fault, circuit.netlist()), Some(budget))?;
         let graph = ProductGraph {
-            good: &good,
+            good,
             bad: &bad,
             semantics,
             state_bits: s,

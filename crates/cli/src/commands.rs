@@ -225,7 +225,7 @@ pub fn gen(args: &[String]) -> CliResult {
                 fsm.num_outputs()
             );
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(ExitStatus::Ok)
 }
@@ -233,15 +233,15 @@ pub fn gen(args: &[String]) -> CliResult {
 /// `ced stats` — structural statistics of the machine.
 pub fn stats(args: &[String]) -> CliResult {
     let Parsed { fsm, .. } = parse(args)?;
-    println!("{}", FsmStats::of(&fsm));
+    outln!("{}", FsmStats::of(&fsm));
     if fsm.check_complete().is_err() {
         if fsm.num_inputs() > MAX_COMPLETION_INPUTS {
             let refusal = FsmError::TooWideToComplete {
                 inputs: fsm.num_inputs(),
             };
-            println!("note: machine is partially specified; synthesis refuses it: {refusal}");
+            outln!("note: machine is partially specified; synthesis refuses it: {refusal}");
         } else {
-            println!(
+            outln!(
                 "note: machine is partially specified; synthesis will add don't-care self-loops"
             );
         }
@@ -254,7 +254,7 @@ pub fn synth(args: &[String]) -> CliResult {
     let parsed = parse(args)?;
     let lib = CellLibrary::new();
     let circuit = synthesize_circuit(&parsed.fsm, &parsed.options)?;
-    println!(
+    outln!(
         "{}: r={} inputs, s={} state bits, {} outputs (n={} monitored bits)",
         circuit.name(),
         circuit.num_inputs(),
@@ -262,13 +262,13 @@ pub fn synth(args: &[String]) -> CliResult {
         circuit.num_outputs(),
         circuit.total_bits()
     );
-    println!(
+    outln!(
         "combinational: {} gates, area {:.1}, depth {}",
         circuit.gate_count(),
         circuit.combinational_area(&lib),
         circuit.netlist().depth()
     );
-    println!(
+    outln!(
         "sequential cost (incl. {} state FFs): {:.1}",
         circuit.state_bits(),
         circuit.sequential_area(&lib)
@@ -303,7 +303,7 @@ pub fn check(args: &[String]) -> CliResult {
             eprintln!("[ced] {}", summary.render_line());
         }
     }
-    print!("{text}");
+    out!("{text}");
     finish_store(store.as_deref(), parsed.quiet);
     Ok(ExitStatus::Ok)
 }
@@ -356,7 +356,7 @@ pub fn serve(args: &[String]) -> CliResult {
     let server = ced_serve::Server::start(opts).map_err(|e| format!("cannot start daemon: {e}"))?;
     // The address line is the daemon's contract with scripts and tests:
     // first stdout line, flushed before anything else happens.
-    println!("listening on {}", server.addr());
+    outln!("listening on {}", server.addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.wait();
@@ -443,14 +443,16 @@ pub fn table(args: &[String]) -> CliResult {
     heartbeat.finish(budget.ticks());
     finish_store(store.as_deref(), parsed.quiet);
 
-    println!("{}", table1_header(&parsed.latencies));
-    println!("{}", table1_row(&report));
-    println!(
+    outln!("{}", table1_header(&parsed.latencies));
+    outln!("{}", table1_row(&report));
+    outln!(
         "duplication baseline: {} functions, {} gates, cost {:.1}",
-        report.duplication.parity_functions, report.duplication.gates, report.duplication.area
+        report.duplication.parity_functions,
+        report.duplication.gates,
+        report.duplication.area
     );
     for note in degradation_notes(&report) {
-        println!("note: {note}");
+        outln!("note: {note}");
     }
     if let Some(out) = &parsed.out {
         std::fs::write(out, ced_core::report_to_json(&report).render())
@@ -535,7 +537,7 @@ pub fn suite(args: &[String]) -> CliResult {
     finish_store(store.as_deref(), parsed.quiet);
     match &parsed.out {
         Some(out) => std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?,
-        None => println!("{json}"),
+        None => outln!("{json}"),
     }
     eprintln!(
         "[ced] suite: {} completed, {} degraded, {} quarantined",
@@ -568,7 +570,7 @@ pub fn certify(args: &[String]) -> CliResult {
     };
     heartbeat.finish(budget.ticks());
     finish_store(store.as_deref(), parsed.quiet);
-    print!("{}", ced_cert::report::render_text(&cert));
+    out!("{}", ced_cert::report::render_text(&cert));
     let verdict = cert.verdict();
     if let Some(out) = &parsed.out {
         std::fs::write(out, ced_cert::report::cert_report_json(&[cert]).render())
@@ -684,31 +686,37 @@ pub fn store(args: &[String]) -> CliResult {
     let store = Store::open(Path::new(&dir)).map_err(|e| format!("cannot open {dir}: {e}"))?;
     match action.as_str() {
         "stats" if json => {
-            println!("{}", store.stats_json().render());
+            outln!("{}", store.stats_json().render());
         }
         "stats" => {
             let stats = store.stats();
             // `open` bumped the run counter for this process; the
             // stored index still describes the previous run.
-            println!(
+            outln!(
                 "store {dir}: {} artifact(s), {} bytes, last run {}",
                 stats.entries,
                 stats.bytes,
                 stats.run.saturating_sub(1)
             );
             for e in store.entries() {
-                println!(
+                outln!(
                     "  {} {:016x}  {:>10} bytes  last used run {}",
-                    e.stage, e.fingerprint, e.len, e.last_run
+                    e.stage,
+                    e.fingerprint,
+                    e.len,
+                    e.last_run
                 );
             }
             let previous = store.previous_run_stats();
             if !previous.is_empty() {
-                println!("previous run:");
+                outln!("previous run:");
                 for (stage, c) in previous {
-                    println!(
+                    outln!(
                         "  {stage}: {} hit, {} miss ({} corrupt), {} put",
-                        c.hits, c.misses, c.corrupt, c.puts
+                        c.hits,
+                        c.misses,
+                        c.corrupt,
+                        c.puts
                     );
                 }
             }
@@ -727,9 +735,11 @@ pub fn store(args: &[String]) -> CliResult {
                 .unwrap_or(0);
             let min_run = newest.saturating_sub(keep_runs - 1);
             let outcome = store.gc(min_run).map_err(|e| format!("gc on {dir}: {e}"))?;
-            println!(
+            outln!(
                 "store {dir}: removed {} artifact(s) ({} bytes), kept {}",
-                outcome.removed, outcome.bytes_freed, outcome.kept
+                outcome.removed,
+                outcome.bytes_freed,
+                outcome.kept
             );
         }
         other => {
@@ -747,7 +757,7 @@ pub fn export(args: &[String]) -> CliResult {
         "verilog" => circuit.to_verilog(),
         _ => circuit.to_blif(),
     };
-    print!("{text}");
+    out!("{text}");
     Ok(ExitStatus::Ok)
 }
 
@@ -763,7 +773,7 @@ pub fn minimize(args: &[String]) -> CliResult {
         fsm.num_states(),
         min.num_states()
     );
-    print!("{}", ced_fsm::kiss::to_string(&min));
+    out!("{}", ced_fsm::kiss::to_string(&min));
     Ok(ExitStatus::Ok)
 }
 
@@ -777,7 +787,7 @@ pub fn equiv(args: &[String]) -> CliResult {
     let (_, circuit_b) = prepare_machine(&b.fsm, &b.options)?;
     match ced_sim::equiv::check_equivalence(&circuit_a, &circuit_b) {
         ced_sim::equiv::EquivalenceResult::Equivalent { explored } => {
-            println!("equivalent ({explored} reachable product states explored)");
+            outln!("equivalent ({explored} reachable product states explored)");
             Ok(ExitStatus::Ok)
         }
         ced_sim::equiv::EquivalenceResult::Inequivalent {
@@ -795,7 +805,7 @@ pub fn equiv(args: &[String]) -> CliResult {
                 .iter()
                 .map(|&word| columns(word, circuit_a.num_inputs()))
                 .collect();
-            println!(
+            outln!(
                 "NOT equivalent: input sequence [{}] yields outputs {} vs {}",
                 inputs.join(", "),
                 columns(output_a, circuit_a.num_outputs()),
@@ -841,25 +851,28 @@ pub fn inject(args: &[String]) -> CliResult {
     };
     let search = &injection.search;
     if !search.degradation.is_empty() {
-        println!("cover solved by {} after degradation:", search.method);
+        outln!("cover solved by {} after degradation:", search.method);
         for event in &search.degradation {
-            println!("  {event}");
+            outln!("  {event}");
         }
     }
-    println!(
+    outln!(
         "campaign: {} machine faults ({} untestable), q = {} trees, p = {}",
-        injection.stats.faults, injection.stats.untestable_faults, search.q, parsed.latency
+        injection.stats.faults,
+        injection.stats.untestable_faults,
+        search.q,
+        parsed.latency
     );
     let report = &injection.report;
     // Exactly the served `inject` payload, on stdout and in `--out`.
     let text = report.render();
-    print!("{text}");
+    out!("{text}");
     if let Some(out) = &parsed.out {
         std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
     }
     finish_store(store, parsed.quiet);
     if report.is_clean() {
-        println!("campaign clean: hardware agrees with V(i,j,k) everywhere ✓");
+        outln!("campaign clean: hardware agrees with V(i,j,k) everywhere ✓");
         Ok(ExitStatus::Ok)
     } else {
         eprintln!(
@@ -901,9 +914,9 @@ fn fleet_status_cmd(args: &[String]) -> CliResult {
     let status =
         ced_fleet::fleet_status(Path::new(&dir), std::time::Duration::from_millis(stale_ms))?;
     if json {
-        println!("{}", status.to_json().render());
+        outln!("{}", status.to_json().render());
     } else {
-        print!("{}", status.render_text());
+        out!("{}", status.render_text());
     }
     Ok(ExitStatus::Ok)
 }
@@ -1027,7 +1040,7 @@ pub fn fleet(args: &[String]) -> CliResult {
                 Some(out) => {
                     std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?
                 }
-                None => println!("{json}"),
+                None => outln!("{json}"),
             }
             eprintln!(
                 "[ced] fleet: {} completed, {} degraded, {} quarantined \

@@ -27,7 +27,7 @@ use ced_par::ParExec;
 use ced_runtime::{Budget, Interrupted};
 use ced_sim::detect::{fault_cases, DetectError, DetectOptions, InputModel, Semantics};
 use ced_sim::fault::{Fault, FaultModel};
-use ced_sim::tables::TransitionTables;
+use ced_sim::tables::{FaultTables, TransitionTables};
 use ced_store::Store;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -252,7 +252,8 @@ pub fn run_campaign_stored(
         0,
         "checker monitors bits outside the circuit interface"
     );
-    let good = TransitionTables::good(circuit);
+    let extractor = FaultTables::new(circuit);
+    let good = extractor.good();
     let activation_states = good.reachable_codes();
     // Fault-free-reachable codes as a dense lookup: where the predictor
     // logic is exact rather than don't-care.
@@ -293,17 +294,16 @@ pub fn run_campaign_stored(
                 .map_err(JudgeError::Interrupted)?;
             // The faulty tables, extracted once: the verdict and the
             // drive both read them.
-            let bad = TransitionTables::faulty(
-                circuit,
-                &options.fault_model.expand(fault, circuit.netlist()),
-            );
-            let analytic = analytic_verdict(&good, &bad, &activation_states, &detect, ced.masks())
+            let bad = extractor
+                .faulty(&options.fault_model.expand(fault, circuit.netlist()), None)
+                .expect("extraction without a budget cannot be interrupted");
+            let analytic = analytic_verdict(good, &bad, &activation_states, &detect, ced.masks())
                 .map_err(JudgeError::Detect)?;
             // Decorrelates per-fault seeds: the first word of a stream
             // seeded with the fault index.
             let seed = options.seed ^ StdRng::seed_from_u64(i as u64).next_u64();
             let (raw, mismatch) =
-                drive_with_checker(circuit, ced, &good, &bad, &valid, p, options, seed);
+                drive_with_checker(circuit, ced, good, &bad, &valid, p, options, seed);
             Ok(FaultJudgement {
                 analytic,
                 raw,

@@ -18,10 +18,10 @@
 //!
 //! Probes are packed 64 per word ([`CedHardware::pack_lane`]) and the
 //! healthy checker's net values are computed once per batch. A fault
-//! then re-evaluates only its fanout cone — the nets it drives, found
-//! by one forward pass over the topologically ordered gates — against
-//! those fault-free values, so it costs `⌈probes/64⌉` passes over its
-//! cone, and none at all when the cone misses `ERROR`. Faults are
+//! then re-evaluates only its fanout cone ([`FaultCone`], the kernel
+//! behind per-fault transition-table extraction) against those
+//! fault-free values, so it costs `⌈probes/64⌉` passes over its cone,
+//! and none at all when the cone misses `ERROR`. Faults are
 //! classified on the campaign's pool and folded in fault-list order.
 
 use crate::campaign::CampaignOptions;
@@ -29,6 +29,7 @@ use ced_core::hardware::CedHardware;
 use ced_fsm::encoded::FsmCircuit;
 use ced_logic::netlist::Netlist;
 use ced_par::ParExec;
+use ced_sim::eval::{Fanouts, FaultCone};
 use ced_sim::fault::{collapsed_faults, Fault};
 use ced_sim::tables::TransitionTables;
 use rand::rngs::StdRng;
@@ -97,6 +98,7 @@ pub fn audit_checker(
 ) -> CheckerCampaign {
     let batches = build_probes(circuit, ced, options);
     let faults = collapsed_faults(ced.netlist());
+    let fanouts = Fanouts::new(ced.netlist());
     let mut campaign = CheckerCampaign {
         injected: faults.len(),
         false_alarms: 0,
@@ -107,7 +109,7 @@ pub fn audit_checker(
     };
     let Ok(()) = pool.for_each_ordered(
         &faults,
-        |_, &fault| Ok::<_, Infallible>(classify(ced.netlist(), &batches, fault)),
+        |_, &fault| Ok::<_, Infallible>(classify(ced.netlist(), &fanouts, &batches, fault)),
         |i, class| {
             let fault = faults[i];
             match class {
@@ -128,29 +130,21 @@ pub fn audit_checker(
 /// fault's fanout cone is re-evaluated, over the batch's fault-free net
 /// values; a cone that misses `ERROR` leaves every batch's answer at
 /// the healthy one, with no evaluation at all.
-fn classify(netlist: &Netlist, batches: &[ProbeBatch], fault: Fault) -> CheckerFaultClass {
-    let gates = netlist.gates();
+fn classify(
+    netlist: &Netlist,
+    fanouts: &Fanouts,
+    batches: &[ProbeBatch],
+    fault: Fault,
+) -> CheckerFaultClass {
     let error = netlist.outputs()[0].index();
-    let (cone, in_cone) = fanout_cone(netlist, fault.net.index());
-    let mut faulty_values = vec![0u64; gates.len()];
+    let mut cone = FaultCone::default();
+    cone.mark(netlist, fanouts, &[fault]);
     let mut alarms = false;
     let mut masks_somewhere = false;
     for batch in batches {
-        let faulty = if in_cone[error] {
-            faulty_values[fault.net.index()] = fault.forced_word();
-            for &g in &cone[1..] {
-                let gate = gates[g];
-                let [a, b] = gate.fanin.map(|net| {
-                    let i = net.index();
-                    if in_cone[i] {
-                        faulty_values[i]
-                    } else {
-                        batch.good[i]
-                    }
-                });
-                faulty_values[g] = gate.kind.eval(a, b);
-            }
-            faulty_values[error] & batch.lanes
+        let faulty = if cone.contains(error) {
+            cone.eval(netlist, &batch.good);
+            cone.value(error) & batch.lanes
         } else {
             batch.pristine
         };
@@ -173,23 +167,6 @@ fn classify(netlist: &Netlist, batches: &[ProbeBatch], fault: Fault) -> CheckerF
     } else {
         CheckerFaultClass::Benign
     }
-}
-
-/// The nets `net` drives, directly or transitively, in topological
-/// order starting with `net` itself, plus a membership mask. Gates are
-/// topologically ordered, so one forward pass from `net` finds them.
-fn fanout_cone(netlist: &Netlist, net: usize) -> (Vec<usize>, Vec<bool>) {
-    let gates = netlist.gates();
-    let mut in_cone = vec![false; gates.len()];
-    in_cone[net] = true;
-    let mut cone = vec![net];
-    for (i, g) in gates.iter().enumerate().skip(net + 1) {
-        if g.fanin[..g.kind.arity()].iter().any(|f| in_cone[f.index()]) {
-            in_cone[i] = true;
-            cone.push(i);
-        }
-    }
-    (cone, in_cone)
 }
 
 /// Builds the packed probe batches, precomputing the healthy checker's

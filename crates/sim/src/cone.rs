@@ -29,6 +29,7 @@
 //! pins. Collisions are the usual 64-bit FNV trust assumption shared
 //! with every store key in the pipeline.
 
+use crate::eval::{Fanouts, FaultCone};
 use crate::fault::{Fault, FaultModel};
 use ced_logic::gate::GateKind;
 use ced_logic::netlist::Netlist;
@@ -68,56 +69,51 @@ pub fn plain_hashes(netlist: &Netlist) -> Vec<u64> {
 /// [`FaultModel::MultiBitCluster`] injects its whole spatial cluster;
 /// every other model injects the seed alone), each injected net's hash
 /// is replaced by a stuck-at marker, and hashes are recomputed along
-/// the transitive-fanout corridor only. The key digests, over the
-/// output slots whose hash changed, the triple `(slot index, fault-free
-/// hash, faulted hash)` — the transitive fan-in of the faulted nets
-/// plus the output/next-state logic they feed, and nothing else.
+/// the transitive-fanout corridor ([`FaultCone`]) only. The key
+/// digests, over the output slots in that corridor, the triple `(slot
+/// index, fault-free hash, faulted hash)` — the transitive fan-in of
+/// the faulted nets plus the output/next-state logic they feed, and
+/// nothing else.
 ///
 /// A fault reaching no output slot (structurally redundant) keys over
 /// the empty slot set; all such faults share one key, and all of their
 /// fragments are identically empty and untestable.
 pub fn cone_keys(netlist: &Netlist, faults: &[Fault], model: FaultModel) -> Vec<u64> {
     let gates = netlist.gates();
-    let n = gates.len();
     let plain = plain_hashes(netlist);
+    let fanouts = Fanouts::new(netlist);
+    let mut cone = FaultCone::default();
     let mut faulted = plain.clone();
-    let mut dirty = vec![false; n];
-    let mut touched: Vec<usize> = Vec::new();
+    let mut forced = vec![false; gates.len()];
     let mut keys = Vec::with_capacity(faults.len());
     for &seed in faults {
         // Inject the expanded cluster as stuck-at leaves.
         let cluster = model.expand(seed, netlist);
-        let mut first = n;
         for f in &cluster {
             let i = f.net.index();
             faulted[i] = mix(mix(FNV1A64_OFFSET, u64::MAX), u64::from(f.stuck_at));
-            dirty[i] = true;
-            touched.push(i);
-            first = first.min(i);
+            forced[i] = true;
         }
-        // Propagate along the fanout corridor (fanins precede their
-        // gate in netlist order, so one forward pass suffices).
-        for i in first.saturating_add(1)..n {
-            if dirty[i] {
+        // Rehash the fanout cone (its nets come in topological order,
+        // so every faulted fanin is final before its reader).
+        cone.mark(netlist, &fanouts, &cluster);
+        for i in cone.nets() {
+            if forced[i] {
                 continue;
             }
             let g = &gates[i];
-            if (0..g.kind.arity()).any(|k| dirty[g.fanin[k].index()]) {
-                let mut h = mix(FNV1A64_OFFSET, u64::from(g.kind.tag()));
-                for k in 0..g.kind.arity() {
-                    h = mix(h, faulted[g.fanin[k].index()]);
-                }
-                faulted[i] = h;
-                dirty[i] = true;
-                touched.push(i);
+            let mut h = mix(FNV1A64_OFFSET, u64::from(g.kind.tag()));
+            for k in 0..g.kind.arity() {
+                h = mix(h, faulted[g.fanin[k].index()]);
             }
+            faulted[i] = h;
         }
         // Digest the reached output slots (slot order is the netlist's
         // output order: next-state bits then response bits).
         let mut key = FNV1A64_OFFSET;
         for (slot, o) in netlist.outputs().iter().enumerate() {
             let i = o.index();
-            if dirty[i] {
+            if cone.contains(i) {
                 key = mix(key, slot as u64);
                 key = mix(key, plain[i]);
                 key = mix(key, faulted[i]);
@@ -125,11 +121,10 @@ pub fn cone_keys(netlist: &Netlist, faults: &[Fault], model: FaultModel) -> Vec<
         }
         keys.push(key);
         // Restore the scratch state for the next fault.
-        for &i in &touched {
+        for i in cone.nets() {
             faulted[i] = plain[i];
-            dirty[i] = false;
+            forced[i] = false;
         }
-        touched.clear();
     }
     keys
 }

@@ -28,7 +28,7 @@
 //! ```
 
 use crate::fault::Fault;
-use crate::tables::TransitionTables;
+use crate::tables::FaultTables;
 use ced_fsm::encoded::FsmCircuit;
 
 /// One observed checker cycle: the machine's (actual) present state,
@@ -58,13 +58,16 @@ impl FaultDictionary {
     /// fault (the dominant cost is the per-fault table extraction, the
     /// same work the detectability analysis performs).
     pub fn build(circuit: &FsmCircuit, faults: &[Fault], masks: &[u64]) -> FaultDictionary {
-        let good = TransitionTables::good(circuit);
+        let extractor = FaultTables::new(circuit);
+        let good = extractor.good();
         let r = circuit.num_inputs();
         let s = circuit.state_bits();
         let total = 1usize << (r + s);
         let mut tables = Vec::with_capacity(faults.len());
         for &fault in faults {
-            let bad = TransitionTables::faulty(circuit, &[fault]);
+            let bad = extractor
+                .faulty(&[fault], None)
+                .expect("extraction without a budget cannot be interrupted");
             let mut table = vec![0u64; total];
             for code in 0..(1u64 << s) {
                 for input in 0..(1u64 << r) {
@@ -142,6 +145,7 @@ impl FaultDictionary {
 mod tests {
     use super::*;
     use crate::fault::collapsed_faults;
+    use crate::tables::TransitionTables;
     use ced_fsm::encoded::EncodedFsm;
     use ced_fsm::encoding::{assign, EncodingStrategy};
     use ced_fsm::suite;

@@ -3,6 +3,12 @@
 //! Evaluates a combinational netlist under a set of injected stuck-at
 //! faults, 64 patterns per pass (parallel-pattern fault propagation).
 //! Each forced net keeps its stuck value regardless of its driver.
+//!
+//! Two forms share one semantics: [`eval_words_faulty_into`] re-runs
+//! the whole netlist, while [`FaultCone`] re-evaluates only the nets a
+//! fault set reaches against cached fault-free values — the same words
+//! on every net, since a net outside the fanout cone of every forced
+//! net computes its fault-free value by definition.
 
 use crate::fault::Fault;
 use ced_logic::gate::GateKind;
@@ -50,6 +56,143 @@ pub fn eval_words_faulty_into(
         let fault = faults.iter().find(|f| f.net.index() == i);
         values[i] = fault.expect("a listed net").forced_word();
         start = i + 1;
+    }
+}
+
+/// Fanout lists of every net of a netlist, in compressed sparse rows:
+/// the gates that read net `i` are `sinks[start[i]..start[i + 1]]`.
+#[derive(Debug)]
+pub struct Fanouts {
+    start: Vec<u32>,
+    sinks: Vec<u32>,
+}
+
+impl Fanouts {
+    /// Collects every gate's fanins (up to its arity) into per-net
+    /// fanout lists, each in ascending gate order (a gate reading one
+    /// net twice is listed twice).
+    pub fn new(netlist: &Netlist) -> Fanouts {
+        let gates = netlist.gates();
+        let mut start = vec![0u32; gates.len() + 1];
+        for g in gates {
+            for f in &g.fanin[..g.kind.arity()] {
+                start[f.index() + 1] += 1;
+            }
+        }
+        for i in 0..gates.len() {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut sinks = vec![0u32; start[gates.len()] as usize];
+        for (i, g) in gates.iter().enumerate() {
+            for f in &g.fanin[..g.kind.arity()] {
+                sinks[fill[f.index()] as usize] = i as u32;
+                fill[f.index()] += 1;
+            }
+        }
+        Fanouts { start, sinks }
+    }
+
+    /// The gates reading `net`.
+    fn of(&self, net: usize) -> &[u32] {
+        &self.sinks[self.start[net] as usize..self.start[net + 1] as usize]
+    }
+}
+
+/// The fanout cone of one fault set — every net a forced net drives,
+/// directly or transitively, plus the forced nets themselves — with the
+/// scratch to evaluate it. Reusable across fault sets and netlists:
+/// [`FaultCone::mark`] resets only what the previous set touched.
+#[derive(Debug, Default)]
+pub struct FaultCone {
+    /// Cone nets in topological order, each with the stuck word of the
+    /// first listed fault on it (`None` for a driven net).
+    nets: Vec<(u32, Option<u64>)>,
+    in_cone: Vec<bool>,
+    /// Faulty words of the cone nets after [`FaultCone::eval`].
+    values: Vec<u64>,
+}
+
+impl FaultCone {
+    /// Marks the fanout cone of `faults` in `netlist`, replacing the
+    /// previous set's. The first listed fault on a net wins, as in
+    /// [`eval_words_faulty_into`].
+    pub fn mark(&mut self, netlist: &Netlist, fanouts: &Fanouts, faults: &[Fault]) {
+        let n = netlist.gates().len();
+        if self.in_cone.len() == n {
+            for &(i, _) in &self.nets {
+                self.in_cone[i as usize] = false;
+            }
+        } else {
+            self.in_cone.clear();
+            self.in_cone.resize(n, false);
+        }
+        self.nets.clear();
+        self.values.resize(n, 0);
+        for f in faults {
+            let i = f.net.index();
+            if !self.in_cone[i] {
+                self.nets.push((i as u32, Some(f.forced_word())));
+                self.in_cone[i] = true;
+            }
+        }
+        // Breadth-first over the fanout lists; forced nets reached from
+        // another forced net keep their stuck word.
+        let mut head = 0;
+        while let Some(&(i, _)) = self.nets.get(head) {
+            head += 1;
+            for &sink in fanouts.of(i as usize) {
+                if !self.in_cone[sink as usize] {
+                    self.nets.push((sink, None));
+                    self.in_cone[sink as usize] = true;
+                }
+            }
+        }
+        // Gates are in topological order: index order evaluates every
+        // cone fanin before its reader.
+        self.nets.sort_unstable_by_key(|&(i, _)| i);
+    }
+
+    /// Whether `net` is in the marked cone.
+    pub fn contains(&self, net: usize) -> bool {
+        self.in_cone[net]
+    }
+
+    /// The marked cone's nets, in topological order.
+    pub(crate) fn nets(&self) -> impl Iterator<Item = usize> + '_ {
+        self.nets.iter().map(|&(i, _)| i as usize)
+    }
+
+    /// Evaluates the marked cone for one 64-pattern batch: forced nets
+    /// take their stuck word and every other cone net its gate over its
+    /// fanins, reading a fanin outside the cone from `good` (the
+    /// batch's fault-free word of every net).
+    pub fn eval(&mut self, netlist: &Netlist, good: &[u64]) {
+        let gates = netlist.gates();
+        for &(i, forced) in &self.nets {
+            let i = i as usize;
+            self.values[i] = match forced {
+                Some(word) => word,
+                None => {
+                    let g = &gates[i];
+                    let [a, b] = g.fanin.map(|f| {
+                        let f = f.index();
+                        if self.in_cone[f] {
+                            self.values[f]
+                        } else {
+                            good[f]
+                        }
+                    });
+                    g.kind.eval(a, b)
+                }
+            };
+        }
+    }
+
+    /// The faulty word of a cone net after [`FaultCone::eval`].
+    pub fn value(&self, net: usize) -> u64 {
+        debug_assert!(self.in_cone[net], "net {net} is outside the cone");
+        self.values[net]
     }
 }
 

@@ -7,7 +7,7 @@
 //! that on the gate-accurate [`TransitionTables`].
 
 use crate::fault::Fault;
-use crate::tables::TransitionTables;
+use crate::tables::{FaultTables, TransitionTables};
 use ced_fsm::encoded::FsmCircuit;
 use std::collections::VecDeque;
 
@@ -69,10 +69,12 @@ pub fn loop_bound(tables: &TransitionTables) -> usize {
 /// cone implicitly explored by [`shortest_loop_through`]).
 pub fn max_useful_latency(circuit: &FsmCircuit, faults: &[Fault]) -> usize {
     let mut best = 1usize;
-    let good = TransitionTables::good(circuit);
-    let activation_states = good.reachable_codes();
+    let extractor = FaultTables::new(circuit);
+    let activation_states = extractor.good().reachable_codes();
     for &f in faults {
-        let bad = TransitionTables::faulty(circuit, &[f]);
+        let bad = extractor
+            .faulty(&[f], None)
+            .expect("extraction without a budget cannot be interrupted");
         let bound = activation_states
             .iter()
             .filter_map(|&c| shortest_loop_through(&bad, c))
